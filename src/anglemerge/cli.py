@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import SeparationParams, bound_report
-from .errors import AngleMergeError
+from .errors import AngleMergeError, DegenerateInputError
 from .geometry import DataSet, load_points_csv, save_points_csv
 from .metrics import abs_cluster_count_error, clustering_error, nmi
 from .pipeline import ClusterRun, cluster_dataset
@@ -45,7 +45,10 @@ EXIT_NO_CROSSING = 2
 
 
 def _load_label_file(path) -> np.ndarray:
-    return np.loadtxt(path, dtype=np.int64, ndmin=1)
+    try:
+        return np.loadtxt(path, dtype=np.int64, ndmin=1)
+    except ValueError as err:
+        raise DegenerateInputError(f"cannot parse label file {path}: {err}") from err
 
 
 def _save_label_file(path, labels: np.ndarray) -> None:

@@ -417,10 +417,11 @@ def _find_allies(acute: np.ndarray) -> np.ndarray:
     """Each point's two nearest neighbours under the acute angle.
 
     Ties resolve to the smaller point index (stable sort), which keeps the
-    whole pipeline deterministic.
+    whole pipeline deterministic. Returns a copy, so the N x N sort order
+    is freed on return.
     """
     order = np.argsort(acute, axis=1, kind="stable")
-    return order[:, :2]
+    return order[:, :2].copy()
 
 
 def initial_clustering(angles: AngleCache, seed: int) -> Clustering:
@@ -463,4 +464,6 @@ def initial_clustering(angles: AngleCache, seed: int) -> Clustering:
             allocated = np.where(assign >= 0)[0]
             nearest = allocated[np.argmin(acute[p, allocated])]
             assign[p] = assign[nearest]
+    # Free the N x N acute matrix before grouped_sums needs its own temporaries.
+    del acute
     return Clustering.from_labels(angles, assign)

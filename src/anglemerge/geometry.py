@@ -21,8 +21,8 @@ ZERO_NORM_EPS = 1e-300
 class DataSet:
     """Points in R^n, one per row, with optional integer ground-truth labels.
 
-    Invariants: at least 3 points, ambient dimension at least 2, and when
-    labels are present they have one entry per point.
+    Invariants: at least 3 points, ambient dimension at least 2, finite
+    coordinates, and when labels are present they have one entry per point.
     """
 
     points: np.ndarray
@@ -37,6 +37,9 @@ class DataSet:
             raise DegenerateInputError(f"need at least 3 points, got {n_points}")
         if dim < 2:
             raise DegenerateInputError(f"need ambient dimension >= 2, got {dim}")
+        bad = np.flatnonzero(~np.isfinite(self.points).all(axis=1))
+        if bad.size:
+            raise DegenerateInputError(f"row {bad[0]} has a NaN or infinite coordinate")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (n_points,):
@@ -66,96 +69,55 @@ def normalize_rows(data: DataSet) -> DataSet:
 
 
 class AngleCache:
-    """Upper-triangular store of all pairwise angles.
+    """Dense symmetric store of all pairwise angles.
 
-    Two coupled stores, both flat arrays of length N*(N-1)/2 indexed by
-    (i, j) with i < j:
-
-    * ``theta``: the angle arccos(x_i . x_j) in [0, pi]
-    * ``acute``: the acute angle arccos(|x_i . x_j|) in [0, pi/2], used by
-      the nearest-neighbour ("ally") search
-
-    Inner products are clamped to [-1, 1] before arccos, so near-parallel
-    rows never yield NaN. Queries are symmetric: (j, i) returns the (i, j)
-    entry.
+    One N x N float64 matrix ``theta`` with theta[i, j] = arccos(x_i . x_j)
+    in [0, pi] and a zero diagonal. Inner products are clamped to [-1, 1]
+    before arccos, so near-parallel rows never yield NaN. The matrix is
+    bitwise symmetric, so (i, j) and (j, i) read the same value.
 
     ``reads`` counts accessor calls; the merge loop must leave it untouched
     once the initial statistics are built, which test builds assert.
     """
 
-    def __init__(self, theta_flat: np.ndarray, acute_flat: np.ndarray, n_points: int):
-        expected = n_points * (n_points - 1) // 2
-        if theta_flat.shape != (expected,) or acute_flat.shape != (expected,):
-            raise DegenerateInputError("flat angle arrays do not match the point count")
-        self._theta = theta_flat
-        self._acute = acute_flat
-        self._n = n_points
+    def __init__(self, theta: np.ndarray):
+        if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
+            raise DegenerateInputError("angle matrix must be square")
+        self._theta = theta
         self.reads = 0
 
     @property
     def n_points(self) -> int:
-        return self._n
-
-    def _flat_index(self, i, j):
-        # Works on scalars or equal-length arrays; requires i < j elementwise.
-        return i * (2 * self._n - i - 1) // 2 + (j - i - 1)
-
-    def _pair_index(self, idx_a: np.ndarray, idx_b: np.ndarray) -> np.ndarray:
-        lo = np.minimum(idx_a, idx_b)
-        hi = np.maximum(idx_a, idx_b)
-        return self._flat_index(lo, hi)
-
-    def theta_at(self, i: int, j: int) -> float:
-        """Angle between points i and j (i != j), in radians."""
-        if i == j:
-            raise DegenerateInputError("theta_at requires two distinct indices")
-        self.reads += 1
-        lo, hi = (i, j) if i < j else (j, i)
-        return float(self._theta[self._flat_index(lo, hi)])
-
-    def acute_at(self, i: int, j: int) -> float:
-        """Acute angle between points i and j, in radians."""
-        if i == j:
-            raise DegenerateInputError("acute_at requires two distinct indices")
-        self.reads += 1
-        lo, hi = (i, j) if i < j else (j, i)
-        return float(self._acute[self._flat_index(lo, hi)])
+        return self._theta.shape[0]
 
     def acute_square(self) -> np.ndarray:
-        """Dense symmetric acute-angle matrix with +inf on the diagonal.
+        """Dense symmetric acute-angle matrix min(theta, pi - theta) with
+        +inf on the diagonal.
 
         The diagonal sentinel lets argmin-style neighbour searches skip the
         point itself.
         """
         self.reads += 1
-        square = np.full((self._n, self._n), np.inf)
-        iu = np.triu_indices(self._n, k=1)
-        square[iu] = self._acute
-        square[(iu[1], iu[0])] = self._acute
-        return square
+        acute = np.subtract(np.pi, self._theta)
+        np.minimum(acute, self._theta, out=acute)
+        np.fill_diagonal(acute, np.inf)
+        return acute
 
     def cross_values(self, idx_a: np.ndarray, idx_b: np.ndarray) -> np.ndarray:
         """All angles between one index set and another (disjoint) one.
 
-        Gathered in canonical (sorted flat-index) order, so swapping the
-        two arguments yields a bitwise-identical array.
+        Returned in ascending order, so swapping the two arguments yields a
+        bitwise-identical array.
         """
         self.reads += 1
-        idx_a = np.asarray(idx_a, dtype=np.int64)
-        idx_b = np.asarray(idx_b, dtype=np.int64)
-        aa, bb = np.meshgrid(idx_a, idx_b, indexing="ij")
-        flat = self._pair_index(aa.ravel(), bb.ravel())
-        flat.sort()
-        return self._theta[flat]
+        return np.sort(self._theta[np.ix_(idx_a, idx_b)], axis=None)
 
     def within_values(self, idx: np.ndarray) -> np.ndarray:
         """All C(len(idx), 2) angles among one index set."""
         self.reads += 1
         idx = np.asarray(idx, dtype=np.int64)
-        if idx.size < 2:
-            return np.empty(0)
         pos_i, pos_j = np.triu_indices(idx.size, k=1)
-        return self._theta[self._pair_index(idx[pos_i], idx[pos_j])]
+        return self._theta[idx[pos_i], idx[pos_j]]
 
     def grouped_sums(self, assignment: np.ndarray, n_groups: int):
         """Angle sums and squared sums aggregated over a partition.
@@ -165,24 +127,20 @@ class AngleCache:
         between groups k and l once; diagonal entry (k, k) aggregates every
         within-group angle of k once.
 
-        One matrix product per moment replaces N^2 scalar lookups, which is
-        what keeps distance initialization at O(N^2 * P).
+        One one-hot matrix product per moment, straight on the dense store
+        (its zero diagonal adds nothing), replaces N^2 scalar lookups, which
+        is what keeps distance initialization at O(N^2 * P).
         """
         self.reads += 1
+        n = self.n_points
         assignment = np.asarray(assignment, dtype=np.int64)
-        if assignment.shape != (self._n,):
+        if assignment.shape != (n,):
             raise DegenerateInputError("assignment must have one entry per point")
-        onehot = np.zeros((self._n, n_groups))
-        onehot[np.arange(self._n), assignment] = 1.0
+        onehot = np.zeros((n, n_groups))
+        onehot[np.arange(n), assignment] = 1.0
 
-        square = np.zeros((self._n, self._n))
-        iu = np.triu_indices(self._n, k=1)
-        square[iu] = self._theta
-        square[(iu[1], iu[0])] = self._theta
-
-        sum_matrix = onehot.T @ square @ onehot
-        np.square(square, out=square)
-        sumsq_matrix = onehot.T @ square @ onehot
+        sum_matrix = onehot.T @ self._theta @ onehot
+        sumsq_matrix = onehot.T @ np.square(self._theta) @ onehot
         # The bilinear form double-counts within-group pairs (i, j) and (j, i).
         np.fill_diagonal(sum_matrix, np.diagonal(sum_matrix) / 2.0)
         np.fill_diagonal(sumsq_matrix, np.diagonal(sumsq_matrix) / 2.0)
@@ -192,15 +150,16 @@ class AngleCache:
 def compute_angles(data: DataSet) -> AngleCache:
     """Compute all pairwise angles of an already-normalized dataset.
 
-    Deterministic for fixed input: each entry is written exactly once from
-    a clamped inner product, independent of evaluation order.
+    Builds the dense store in place: Gram matrix, clamp to [-1, 1], arccos,
+    zero diagonal. Deterministic for fixed input. numpy evaluates X @ X.T
+    as a symmetric rank-k update and mirrors one triangle, so the store is
+    bitwise symmetric.
     """
-    gram = np.clip(data.points @ data.points.T, -1.0, 1.0)
-    iu = np.triu_indices(data.n_points, k=1)
-    dots = gram[iu]
-    theta_flat = np.arccos(dots)
-    acute_flat = np.arccos(np.abs(dots))
-    return AngleCache(theta_flat, acute_flat, data.n_points)
+    theta = data.points @ data.points.T
+    np.clip(theta, -1.0, 1.0, out=theta)
+    np.arccos(theta, out=theta)
+    np.fill_diagonal(theta, 0.0)
+    return AngleCache(theta)
 
 
 def load_points_csv(path, labeled: bool = False) -> DataSet:
@@ -209,7 +168,10 @@ def load_points_csv(path, labeled: bool = False) -> DataSet:
     With ``labeled=True`` the final column is parsed as the integer
     ground-truth label.
     """
-    raw = np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as err:
+        raise DegenerateInputError(f"cannot parse points CSV {path}: {err}") from err
     if labeled:
         if raw.shape[1] < 3:
             raise DegenerateInputError("labeled CSV needs >= 2 feature columns plus a label")

@@ -6,13 +6,18 @@ import sys
 import numpy as np
 import pytest
 
-from anglemerge.cli import EXIT_NO_CROSSING, EXIT_OK, main
+from anglemerge.cli import EXIT_ERROR, EXIT_NO_CROSSING, EXIT_OK, main
 from anglemerge.geometry import DataSet, save_points_csv
 from helpers import unit_sphere_points
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def assert_one_line_error(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +251,32 @@ class TestErrorPaths:
         code = run_cli("cluster", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path))
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_coordinate(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("1.0,2.0\n3.0,nan\n5.0,6.0\n7.0,8.0\n")
+        code = run_cli("cluster", "--input", str(path), "--out", str(tmp_path / "run"))
+        assert code == EXIT_ERROR
+        assert_one_line_error(capsys.readouterr().err)
+
+    def test_ragged_points_csv(self, tmp_path, capsys):
+        path = tmp_path / "ragged.csv"
+        path.write_text("1.0,2.0,3.0\n4.0,5.0\n6.0,7.0,8.0\n")
+        code = run_cli("cluster", "--input", str(path), "--out", str(tmp_path / "run"))
+        assert code == EXIT_ERROR
+        assert_one_line_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["cluster", "eval"])
+    def test_non_integer_label_file(self, subspace_csv, tmp_path, capsys, command):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("0\n1.5\n" * 200)  # one entry per point of subspace_csv
+        if command == "cluster":
+            argv = ["cluster", "--input", str(subspace_csv), "--labeled",
+                    "--init-labels", str(labels), "--out", str(tmp_path / "run")]
+        else:
+            argv = ["eval", "--truth", str(labels), "--pred", str(labels)]
+        assert run_cli(*argv) == EXIT_ERROR
+        assert_one_line_error(capsys.readouterr().err)
 
     def test_console_script_entry_point(self, tmp_path):
         result = subprocess.run(

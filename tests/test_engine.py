@@ -5,6 +5,7 @@ from anglemerge.engine import (
     Clustering,
     MergeRun,
     MergeStep,
+    _find_allies,
     compute_scores,
     distance_matrix,
     initial_clustering,
@@ -99,6 +100,15 @@ class TestInitialClustering:
         a = initial_clustering(cache, seed=7)
         b = initial_clustering(cache, seed=7)
         assert [c.tolist() for c in a.clusters] == [c.tolist() for c in b.clusters]
+
+    def test_allies_do_not_view_the_sort_order(self):
+        # A view of the N x N argsort result would keep all of it alive
+        # through pass 2 and the grouped sums.
+        rng = np.random.default_rng(2)
+        cache = make_cache(unit_sphere_points(rng, 40, 6))
+        allies = _find_allies(cache.acute_square())
+        assert allies.shape == (40, 2)
+        assert allies.base is None
 
     def test_rejects_tiny_input(self):
         # AngleCache cannot be built for N < 3 through DataSet, so drive the

@@ -9,7 +9,7 @@ from anglemerge.geometry import (
     normalize_rows,
     save_points_csv,
 )
-from helpers import unit_sphere_points
+from helpers import angle_oracle, unit_sphere_points
 
 
 class TestDataSet:
@@ -24,6 +24,13 @@ class TestDataSet:
     def test_rejects_label_length_mismatch(self):
         with pytest.raises(DegenerateInputError):
             DataSet(points=np.ones((4, 3)), labels=np.array([0, 1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coordinates(self, bad):
+        points = np.ones((5, 3))
+        points[3, 1] = bad
+        with pytest.raises(DegenerateInputError, match="row 3"):
+            DataSet(points=points)
 
 
 class TestNormalizeRows:
@@ -53,43 +60,50 @@ class TestNormalizeRows:
         np.testing.assert_array_equal(out.labels, data.labels)
 
 
+def theta(cache, i, j):
+    """One angle, read through the public cross-set accessor."""
+    return cache.cross_values(np.array([i]), np.array([j]))[0]
+
+
 class TestComputeAngles:
     def test_identical_orthogonal_antipodal(self):
         points = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         cache = compute_angles(DataSet(points=points))
-        assert cache.theta_at(0, 1) == pytest.approx(0.0, abs=1e-12)
-        assert cache.acute_at(0, 1) == pytest.approx(0.0, abs=1e-12)
-        assert cache.theta_at(0, 2) == pytest.approx(np.pi / 2, abs=1e-12)
-        assert cache.acute_at(0, 2) == pytest.approx(np.pi / 2, abs=1e-12)
-        assert cache.theta_at(0, 3) == pytest.approx(np.pi, abs=1e-12)
-        assert cache.acute_at(0, 3) == pytest.approx(0.0, abs=1e-12)
+        acute = cache.acute_square()
+        assert theta(cache, 0, 1) == pytest.approx(0.0, abs=1e-12)
+        assert acute[0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert theta(cache, 0, 2) == pytest.approx(np.pi / 2, abs=1e-12)
+        assert acute[0, 2] == pytest.approx(np.pi / 2, abs=1e-12)
+        assert theta(cache, 0, 3) == pytest.approx(np.pi, abs=1e-12)
+        assert acute[0, 3] == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_queries(self):
         rng = np.random.default_rng(0)
         cache = compute_angles(DataSet(points=unit_sphere_points(rng, 12, 5)))
         for i in range(12):
             for j in range(i + 1, 12):
-                assert cache.theta_at(i, j) == cache.theta_at(j, i)
-                assert cache.acute_at(i, j) == cache.acute_at(j, i)
+                assert theta(cache, i, j) == theta(cache, j, i)
+        acute = cache.acute_square()
+        np.testing.assert_array_equal(acute, acute.T)
 
     def test_range_and_acute_identity(self):
         rng = np.random.default_rng(1)
         cache = compute_angles(DataSet(points=unit_sphere_points(rng, 40, 8)))
-        for i in range(40):
-            for j in range(i + 1, 40):
-                theta = cache.theta_at(i, j)
-                assert 0.0 <= theta <= np.pi
-                expected_acute = min(theta, np.pi - theta)
-                assert cache.acute_at(i, j) == pytest.approx(expected_acute, abs=1e-12)
+        upper = np.triu_indices(40, k=1)
+        values = cache.within_values(np.arange(40))
+        assert ((0.0 <= values) & (values <= np.pi)).all()
+        acute = cache.acute_square()
+        np.testing.assert_allclose(
+            acute[upper], np.minimum(values, np.pi - values), rtol=0, atol=1e-12
+        )
+        assert np.isposinf(np.diagonal(acute)).all()
 
     def test_near_parallel_rows_never_nan(self):
         base = np.ones((1, 4)) / 2.0
         points = np.vstack([base, base * (1 + 1e-16), -base, base + 1e-17])
         points /= np.linalg.norm(points, axis=1, keepdims=True)
         cache = compute_angles(DataSet(points=points))
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert np.isfinite(cache.theta_at(i, j))
+        assert np.isfinite(cache.within_values(np.arange(4))).all()
 
     def test_uniform_sphere_angle_moments(self):
         # 2000 i.i.d. uniform points on the sphere in R^100: the pairwise
@@ -99,32 +113,57 @@ class TestComputeAngles:
         n = 100
         points = unit_sphere_points(rng, 2000, n)
         cache = compute_angles(DataSet(points=points))
-        theta = cache._theta
-        standard_error = theta.std() / np.sqrt(theta.size)
-        assert abs(theta.mean() - np.pi / 2) < 3 * standard_error
-        assert abs(theta.var(ddof=1) - 1 / (n - 2)) < 0.2 / (n - 2)
+        values = cache.within_values(np.arange(2000))
+        standard_error = values.std() / np.sqrt(values.size)
+        assert abs(values.mean() - np.pi / 2) < 3 * standard_error
+        assert abs(values.var(ddof=1) - 1 / (n - 2)) < 0.2 / (n - 2)
 
 
 class TestAngleCacheAccess:
-    def test_flat_store_matches_square(self):
+    def test_store_matches_oracle(self):
         rng = np.random.default_rng(3)
         data = DataSet(points=unit_sphere_points(rng, 15, 4))
         cache = compute_angles(data)
-        gram = np.clip(data.points @ data.points.T, -1, 1)
-        full = np.arccos(gram)
-        for i in range(15):
-            for j in range(i + 1, 15):
-                assert cache.theta_at(i, j) == pytest.approx(full[i, j], abs=1e-12)
+        full = angle_oracle(data.points)
+        np.testing.assert_allclose(
+            cache.within_values(np.arange(15)), full[np.triu_indices(15, k=1)],
+            rtol=0, atol=1e-12,
+        )
+
+    def test_store_is_one_symmetric_matrix_with_zero_diagonal(self):
+        rng = np.random.default_rng(10)
+        n_points = 25
+        cache = compute_angles(DataSet(points=unit_sphere_points(rng, n_points, 6)))
+        arrays = [v for v in vars(cache).values() if isinstance(v, np.ndarray)]
+        assert [a.shape for a in arrays] == [(n_points, n_points)]
+        # With one group per point the one-hot products are exact and return
+        # the store itself (diagonal halved, so zero stays zero).
+        store, _ = cache.grouped_sums(np.arange(n_points), n_points)
+        np.testing.assert_array_equal(store, store.T)
+        np.testing.assert_array_equal(np.diagonal(store), 0.0)
+
+    def test_cross_values_swap_bitwise(self):
+        rng = np.random.default_rng(13)
+        cache = compute_angles(DataSet(points=unit_sphere_points(rng, 20, 5)))
+        a, b = np.array([3, 0, 11, 7]), np.array([19, 2, 5])
+        ab = cache.cross_values(a, b)
+        ba = cache.cross_values(b, a)
+        assert ab.tobytes() == ba.tobytes()
 
     def test_within_and_cross_values(self):
         rng = np.random.default_rng(4)
-        cache = compute_angles(DataSet(points=unit_sphere_points(rng, 10, 3)))
+        points = unit_sphere_points(rng, 10, 3)
+        cache = compute_angles(DataSet(points=points))
+        full = angle_oracle(points)
         within = cache.within_values(np.array([1, 4, 7]))
-        assert sorted(within) == sorted(
-            [cache.theta_at(1, 4), cache.theta_at(1, 7), cache.theta_at(4, 7)]
+        np.testing.assert_allclose(
+            sorted(within), sorted([full[1, 4], full[1, 7], full[4, 7]]), rtol=0, atol=1e-12
         )
         cross = cache.cross_values(np.array([0, 2]), np.array([5, 6, 9]))
         assert cross.size == 6
+        np.testing.assert_allclose(
+            sorted(cross), sorted(full[np.ix_([0, 2], [5, 6, 9])].ravel()), rtol=0, atol=1e-12
+        )
 
     def test_within_values_singleton_empty(self):
         rng = np.random.default_rng(5)
@@ -134,7 +173,9 @@ class TestAngleCacheAccess:
     def test_grouped_sums_match_bruteforce(self):
         rng = np.random.default_rng(6)
         n_points = 30
-        cache = compute_angles(DataSet(points=unit_sphere_points(rng, n_points, 5)))
+        points = unit_sphere_points(rng, n_points, 5)
+        cache = compute_angles(DataSet(points=points))
+        full = angle_oracle(points)
         assignment = rng.integers(0, 4, size=n_points)
         assignment[:4] = np.arange(4)  # every group non-empty
         sums, sumsqs = cache.grouped_sums(assignment, 4)
@@ -143,15 +184,15 @@ class TestAngleCacheAccess:
         for i in range(n_points):
             for j in range(i + 1, n_points):
                 a, b = assignment[i], assignment[j]
-                theta = cache.theta_at(i, j)
+                angle = full[i, j]
                 if a == b:
-                    expect_sum[a, a] += theta
-                    expect_sq[a, a] += theta**2
+                    expect_sum[a, a] += angle
+                    expect_sq[a, a] += angle**2
                 else:
-                    expect_sum[a, b] += theta
-                    expect_sum[b, a] += theta
-                    expect_sq[a, b] += theta**2
-                    expect_sq[b, a] += theta**2
+                    expect_sum[a, b] += angle
+                    expect_sum[b, a] += angle
+                    expect_sq[a, b] += angle**2
+                    expect_sq[b, a] += angle**2
         np.testing.assert_allclose(sums, expect_sum, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(sumsqs, expect_sq, rtol=1e-12, atol=1e-12)
 
@@ -159,16 +200,11 @@ class TestAngleCacheAccess:
         rng = np.random.default_rng(8)
         cache = compute_angles(DataSet(points=unit_sphere_points(rng, 6, 3)))
         assert cache.reads == 0
-        cache.theta_at(0, 1)
+        cache.cross_values(np.array([0]), np.array([1]))
         cache.acute_square()
         cache.within_values(np.array([0, 1, 2]))
-        assert cache.reads == 3
-
-    def test_rejects_diagonal_query(self):
-        rng = np.random.default_rng(9)
-        cache = compute_angles(DataSet(points=unit_sphere_points(rng, 5, 3)))
-        with pytest.raises(DegenerateInputError):
-            cache.theta_at(2, 2)
+        cache.grouped_sums(np.zeros(6, dtype=np.int64), 1)
+        assert cache.reads == 4
 
 
 class TestCsv:

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -28,15 +30,12 @@ def membership_residual(data: DataSet) -> float:
 
 
 def angle_values(data: DataSet, same_label: bool) -> np.ndarray:
-    normalized = normalize_rows(data)
-    cache = compute_angles(normalized)
-    labels = data.labels
-    out = []
-    for i in range(data.n_points):
-        for j in range(i + 1, data.n_points):
-            if (labels[i] == labels[j]) == same_label:
-                out.append(cache.theta_at(i, j))
-    return np.array(out)
+    """All within-label (or all cross-label) angles of the normalized data."""
+    cache = compute_angles(normalize_rows(data))
+    groups = [np.flatnonzero(data.labels == label) for label in np.unique(data.labels)]
+    if same_label:
+        return np.concatenate([cache.within_values(g) for g in groups])
+    return np.concatenate([cache.cross_values(a, b) for a, b in combinations(groups, 2)])
 
 
 class TestSpecs:
