@@ -48,10 +48,9 @@ from .geometry import AngleCache, DataSet, compute_angles, load_points_csv, norm
 from .metrics import abs_cluster_count_error, clustering_error, nmi
 from .pipeline import ClusterRun, cluster_dataset
 from .stats import (
-    MomentPair,
     PairStats,
     between_stats,
-    bhattacharyya_empirical,
+    bhattacharyya,
     cluster_distance,
     moments,
     t_pair,
@@ -80,7 +79,6 @@ __all__ = [
     "DomainError",
     "MergeRun",
     "MergeStep",
-    "MomentPair",
     "NoFiniteSampleSizeError",
     "PairStats",
     "SelectionResult",
@@ -91,7 +89,7 @@ __all__ = [
     "abs_cluster_count_error",
     "angle_pdf",
     "between_stats",
-    "bhattacharyya_empirical",
+    "bhattacharyya",
     "bound_report",
     "cluster_dataset",
     "cluster_distance",

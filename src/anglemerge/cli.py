@@ -120,6 +120,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.trials < 1:
+        raise DegenerateInputError(f"--trials must be >= 1, got {args.trials}")
     rows = []
     for trial in range(args.trials):
         seed = args.seed + trial
@@ -191,6 +193,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if not args.t_list:
+        raise DegenerateInputError("--t-list names no sample count")
     params = SeparationParams(mean_sep=args.mean_sep, var_ratio_sum=args.var_ratio_sum)
     rows = []
     for t in args.t_list:

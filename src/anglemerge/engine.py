@@ -9,8 +9,10 @@ their cross-angle set into within-angle mass, so
     within_new  = within_a + within_b + between_ab
     between_new,k = between_a,k + between_b,k   for every other k
 
-with no angle ever re-read. That is what keeps a full merge run at
-O(P^2) after the O(N^2) angle pass.
+with no angle ever re-read. For P initial clusters the merge loop costs
+O(P^3) as written: each merge compacts the P x P statistics with np.ix_
+and the distance matrix with two np.delete calls. Seeding costs
+O(N^2 log N) for the full-row ally argsort.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, TooFewAnglesError
 from .geometry import AngleCache
-from .stats import VAR_FLOOR, PairStats, t_pair
+from .stats import PairStats, bhattacharyya, moments, t_pair
 
 __all__ = [
     "Clustering",
@@ -172,43 +174,10 @@ class Clustering:
 
 
 def _within_moments(clustering: Clustering):
-    """Per-cluster within-angle mean and (floored) variance, vectorized."""
+    """Cluster sizes (as floats) and per-cluster within-angle moments."""
     sizes = clustering.sizes.astype(np.float64)
-    w_cnt = sizes * (sizes - 1.0) / 2.0
-    mean_w = clustering.w_sum / w_cnt
-    var_w = np.maximum(
-        (clustering.w_sumsq - clustering.w_sum**2 / w_cnt) / (w_cnt - 1.0), VAR_FLOOR
-    )
-    return mean_w, var_w
-
-
-def _between_moments_row(clustering: Clustering, k: int):
-    """Cross-angle moments of cluster k against every cluster (junk at k)."""
-    sizes = clustering.sizes.astype(np.float64)
-    b_cnt = sizes[k] * sizes
-    row_sum = clustering.b_sum[k]
-    row_sumsq = clustering.b_sumsq[k]
-    mean_b = row_sum / b_cnt
-    var_b = np.maximum((row_sumsq - row_sum**2 / b_cnt) / (b_cnt - 1.0), VAR_FLOOR)
-    return mean_b, var_b
-
-
-def _cluster_moments(clustering: Clustering):
-    """Vectorized within/between moments for every cluster (pair).
-
-    Returns (mean_w, var_w, mean_b, var_b); the between matrices carry junk
-    on the diagonal, which callers mask out.
-    """
-    mean_w, var_w = _within_moments(clustering)
-    sizes = clustering.sizes.astype(np.float64)
-    b_cnt = np.outer(sizes, sizes)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean_b = clustering.b_sum / b_cnt
-        var_b = np.maximum(
-            (clustering.b_sumsq - clustering.b_sum**2 / b_cnt) / (b_cnt - 1.0), VAR_FLOOR
-        )
-    np.fill_diagonal(var_b, VAR_FLOOR)
-    return mean_w, var_w, mean_b, var_b
+    mean_w, var_w = moments(clustering.w_sum, clustering.w_sumsq, sizes * (sizes - 1.0) / 2.0)
+    return sizes, mean_w, var_w
 
 
 def _check_mergeable(clustering: Clustering) -> None:
@@ -227,11 +196,11 @@ def distance_matrix(clustering: Clustering) -> np.ndarray:
     k's own within angles, d[l, k] against cluster l's.
     """
     _check_mergeable(clustering)
-    mean_w, var_w, mean_b, var_b = _cluster_moments(clustering)
-    d = 0.25 * (
-        (mean_w[:, None] - mean_b) ** 2 / (var_w[:, None] + var_b)
-        + np.log(0.25 * (var_w[:, None] / var_b + var_b / var_w[:, None]) + 0.5)
-    )
+    # Sizes >= 3 keep every count above 1. The diagonal's between sums are
+    # zero, so its entries are finite (floored variance) until set to inf.
+    sizes, mean_w, var_w = _within_moments(clustering)
+    mean_b, var_b = moments(clustering.b_sum, clustering.b_sumsq, np.outer(sizes, sizes))
+    d = bhattacharyya(mean_w[:, None], var_w[:, None], mean_b, var_b)
     np.fill_diagonal(d, np.inf)
     return d
 
@@ -243,15 +212,10 @@ def _refresh_distance(d: np.ndarray, clustering: Clustering, k: int) -> None:
     both directions; with the within moments this is the whole O(K)
     per-merge distance update.
     """
-    mean_w, var_w = _within_moments(clustering)
-    mb, vb = _between_moments_row(clustering, k)
-    d[k, :] = 0.25 * (
-        (mean_w[k] - mb) ** 2 / (var_w[k] + vb)
-        + np.log(0.25 * (var_w[k] / vb + vb / var_w[k]) + 0.5)
-    )
-    d[:, k] = 0.25 * (
-        (mean_w - mb) ** 2 / (var_w + vb) + np.log(0.25 * (var_w / vb + vb / var_w) + 0.5)
-    )
+    sizes, mean_w, var_w = _within_moments(clustering)
+    mean_b, var_b = moments(clustering.b_sum[k], clustering.b_sumsq[k], sizes[k] * sizes)
+    d[k, :] = bhattacharyya(mean_w[k], var_w[k], mean_b, var_b)
+    d[:, k] = bhattacharyya(mean_w, var_w, mean_b, var_b)
     d[k, k] = np.inf
 
 

@@ -3,7 +3,9 @@
 Within-cluster and between-cluster angle sets are never materialized during
 merging; they are carried as (sum, sum of squares, count) triples, which
 combine additively when clusters merge. Raw sums rather than streaming
-mean/M2 pairs keep that combination exact.
+mean/M2 pairs keep that combination exact. ``moments`` and ``bhattacharyya``
+are elementwise, so the scalar ``cluster_distance`` and the engine's
+matrix and row updates all evaluate the same two formulas.
 """
 
 from __future__ import annotations
@@ -43,38 +45,27 @@ class PairStats:
         return cls(float(values.sum()), float(np.square(values).sum()), int(values.size))
 
 
-@dataclass
-class MomentPair:
-    """Sample mean and (floored) sample variance of an angle set."""
-
-    mean: float
-    var: float
-    count: int
-
-
-def moments(stats: PairStats) -> MomentPair:
-    """Sample mean and variance from sufficient statistics.
+def moments(total, total_sq, count):
+    """Sample mean and variance from sufficient statistics, elementwise.
 
     Variance uses the (count - 1) divisor and is clamped below at VAR_FLOOR.
-    Raises TooFewAnglesError when fewer than two angles are available.
+    Every count must be >= 2; callers check that.
     """
-    if stats.count < 2:
-        raise TooFewAnglesError(f"need >= 2 angles to estimate moments, got {stats.count}")
-    mean = stats.total / stats.count
-    var = (stats.total_sq - stats.total**2 / stats.count) / (stats.count - 1)
-    return MomentPair(mean=mean, var=max(var, VAR_FLOOR), count=stats.count)
+    mean = total / count
+    var = np.maximum((total_sq - total**2 / count) / (count - 1), VAR_FLOOR)
+    return mean, var
 
 
-def bhattacharyya_empirical(w: MomentPair, b: MomentPair) -> float:
-    """Bhattacharyya distance between two Gaussians given by sample moments.
+def bhattacharyya(mean_w, var_w, mean_b, var_b):
+    """Bhattacharyya distance between Gaussians given by moments, elementwise.
 
     d = 1/4 * [ (mu_w - mu_b)^2 / (var_w + var_b)
                 + ln( (var_w/var_b + var_b/var_w)/4 + 1/2 ) ]
 
     Non-negative; zero exactly when the two moment pairs coincide.
     """
-    gap = (w.mean - b.mean) ** 2 / (w.var + b.var)
-    shape = np.log(0.25 * (w.var / b.var + b.var / w.var) + 0.5)
+    gap = (mean_w - mean_b) ** 2 / (var_w + var_b)
+    shape = np.log(0.25 * (var_w / var_b + var_b / var_w) + 0.5)
     return 0.25 * (gap + shape)
 
 
@@ -106,5 +97,14 @@ def cluster_distance(within_k: PairStats, between_kl: PairStats) -> float:
     Compares the within-k angle distribution against the k-to-l cross-angle
     distribution, each estimated from all available angles. Asymmetric by
     construction: the reverse direction compares against within-l instead.
+    Raises TooFewAnglesError when either set has fewer than two angles.
     """
-    return bhattacharyya_empirical(moments(within_k), moments(between_kl))
+    for stats in (within_k, between_kl):
+        if stats.count < 2:
+            raise TooFewAnglesError(f"need >= 2 angles to estimate moments, got {stats.count}")
+    return float(
+        bhattacharyya(
+            *moments(within_k.total, within_k.total_sq, within_k.count),
+            *moments(between_kl.total, between_kl.total_sq, between_kl.count),
+        )
+    )

@@ -152,6 +152,15 @@ class TestBench:
         assert summary["std"]["abs_l_error"] == 0.0
 
 
+    def test_zero_trials_is_a_typed_error(self, tmp_path, capsys):
+        code = run_cli(
+            "bench", "--model", "normal", "--trials", "0", "--out", str(tmp_path / "b.csv"),
+        )
+        assert code == EXIT_ERROR
+        assert_one_line_error(capsys.readouterr().err)
+        assert not (tmp_path / "b.csv").exists()
+
+
 class TestTrace:
     def test_trace_and_histograms(self, subspace_csv, tmp_path):
         out = tmp_path / "trace"
@@ -244,6 +253,12 @@ class TestBounds:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("t,eps_t,one_minus_eps")
         assert lines[1].startswith("40,")
+
+
+    @pytest.mark.parametrize("t_list", [",", ""])
+    def test_empty_t_list_is_a_typed_error(self, capsys, t_list):
+        assert run_cli("bounds", "--t-list", t_list) == EXIT_ERROR
+        assert_one_line_error(capsys.readouterr().err)
 
 
 class TestErrorPaths:

@@ -6,6 +6,7 @@ from anglemerge.engine import (
     MergeRun,
     MergeStep,
     _find_allies,
+    _refresh_distance,
     compute_scores,
     distance_matrix,
     initial_clustering,
@@ -17,7 +18,7 @@ from anglemerge.engine import (
 from anglemerge.errors import DegenerateInputError, TooFewAnglesError
 from anglemerge.geometry import DataSet, compute_angles, normalize_rows
 from anglemerge.stats import t_pair
-from anglemerge.synthetic import SubspaceSpec, gen_subspace_normal
+from anglemerge.synthetic import SubspaceSpec, gen_subspace_dependent, gen_subspace_normal
 from helpers import unit_sphere_points
 
 
@@ -333,6 +334,25 @@ class TestRunMerging:
         clustering = Clustering.from_labels(cache, np.zeros(6, dtype=int))
         with pytest.raises(DegenerateInputError):
             run_merging(clustering)
+
+    @pytest.mark.parametrize(
+        "generator, seed",
+        [(gen_subspace_normal, 0), (gen_subspace_normal, 1),
+         (gen_subspace_dependent, 0), (gen_subspace_dependent, 1)],
+    )
+    def test_refreshed_distance_matches_full_recomputation(self, generator, seed):
+        # Replay the merge loop: after every merge the row-and-column refresh
+        # must give exactly the matrix a from-scratch distance_matrix gives.
+        data = generator(SubspaceSpec(n=60, r=6, L=5, N=240, seed=seed))
+        work = initial_clustering(compute_angles(normalize_rows(data)), seed=seed)
+        d = distance_matrix(work)
+        while work.k > 2:
+            i_star, j_star = compute_scores(work, d).pair
+            q = max(i_star, j_star)
+            slot = work.merge(i_star, j_star)
+            d = np.delete(np.delete(d, q, axis=0), q, axis=1)
+            _refresh_distance(d, work, slot)
+            assert np.array_equal(d, distance_matrix(work))
 
 
 def synthetic_run(gammas, zetas, n_points=15, groups=5):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import anglemerge
 from anglemerge.geometry import DataSet
 from anglemerge.pipeline import cluster_dataset
 from anglemerge.synthetic import SubspaceSpec, gen_subspace_normal
@@ -46,3 +52,15 @@ class TestClusterDataset:
         b = cluster_dataset(data, seed=4)
         np.testing.assert_array_equal(a.labels, b.labels)
         assert a.selection.l_hat == b.selection.l_hat
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs about half a second per import; the package needs
+    # only scipy.special and scipy.optimize.
+    src = str(Path(anglemerge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, anglemerge; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -5,10 +5,9 @@ from anglemerge.errors import TooFewAnglesError
 from anglemerge.geometry import DataSet, compute_angles
 from anglemerge.stats import (
     VAR_FLOOR,
-    MomentPair,
     PairStats,
     between_stats,
-    bhattacharyya_empirical,
+    bhattacharyya,
     cluster_distance,
     moments,
     t_pair,
@@ -18,20 +17,39 @@ from anglemerge.stats import (
 from helpers import unit_sphere_points
 
 
+def moments_of(values):
+    stats = PairStats.from_values(values)
+    return moments(stats.total, stats.total_sq, stats.count)
+
+
 class TestMoments:
     def test_three_sample_hand_case(self):
-        m = moments(PairStats.from_values(np.array([0.1, 0.2, 0.3])))
-        assert m.mean == pytest.approx(0.2, abs=1e-12)
-        assert m.var == pytest.approx(0.01, abs=1e-12)
+        mean, var = moments_of(np.array([0.1, 0.2, 0.3]))
+        assert mean == pytest.approx(0.2, abs=1e-12)
+        assert var == pytest.approx(0.01, abs=1e-12)
 
     def test_zero_variance_clamped_to_floor(self):
-        m = moments(PairStats.from_values(np.array([0.7, 0.7])))
-        assert m.mean == pytest.approx(0.7)
-        assert m.var == VAR_FLOOR
+        mean, var = moments_of(np.array([0.7, 0.7]))
+        assert mean == pytest.approx(0.7)
+        assert var == VAR_FLOOR
 
     def test_single_angle_raises(self):
+        within = PairStats.from_values(np.array([0.4, 0.6]))
         with pytest.raises(TooFewAnglesError):
-            moments(PairStats.from_values(np.array([0.5])))
+            cluster_distance(within, PairStats.from_values(np.array([0.5])))
+
+    def test_elementwise_matches_scalar(self):
+        # One call over arrays of statistics gives what per-element calls give.
+        rng = np.random.default_rng(7)
+        sets = [rng.uniform(0, np.pi, size) for size in (2, 5, 40)]
+        stats = [PairStats.from_values(v) for v in sets]
+        mean, var = moments(
+            np.array([s.total for s in stats]),
+            np.array([s.total_sq for s in stats]),
+            np.array([float(s.count) for s in stats]),
+        )
+        for i, values in enumerate(sets):
+            assert (mean[i], var[i]) == moments_of(values)
 
     def test_matches_two_pass_estimates(self):
         # Sufficient statistics must reproduce the textbook two-pass mean
@@ -39,40 +57,32 @@ class TestMoments:
         rng = np.random.default_rng(0)
         for size in (10, 1000, 100_000):
             values = rng.uniform(0, np.pi, size)
-            m = moments(PairStats.from_values(values))
-            assert m.mean == pytest.approx(values.mean(), rel=1e-9)
-            assert m.var == pytest.approx(values.var(ddof=1), rel=1e-9)
+            mean, var = moments_of(values)
+            assert mean == pytest.approx(values.mean(), rel=1e-9)
+            assert var == pytest.approx(values.var(ddof=1), rel=1e-9)
 
 
 class TestBhattacharyya:
     def test_identical_moments_zero(self):
-        a = MomentPair(mean=0.5, var=0.01, count=10)
-        assert bhattacharyya_empirical(a, a) == pytest.approx(0.0, abs=1e-12)
+        assert bhattacharyya(0.5, 0.01, 0.5, 0.01) == pytest.approx(0.0, abs=1e-12)
 
     def test_variance_only_gap(self):
         # Frozen from quarter-log evaluation: ln(1.5625)/4.
-        a = MomentPair(mean=0.0, var=1.0, count=10)
-        b = MomentPair(mean=0.0, var=4.0, count=10)
-        assert bhattacharyya_empirical(a, b) == pytest.approx(0.11157177565710488, abs=1e-12)
+        assert bhattacharyya(0.0, 1.0, 0.0, 4.0) == pytest.approx(0.11157177565710488, abs=1e-12)
 
     def test_mean_only_gap(self):
-        a = MomentPair(mean=1.0, var=1.0, count=10)
-        b = MomentPair(mean=0.0, var=1.0, count=10)
-        assert bhattacharyya_empirical(a, b) == pytest.approx(0.125, abs=1e-12)
+        assert bhattacharyya(1.0, 1.0, 0.0, 1.0) == pytest.approx(0.125, abs=1e-12)
 
     def test_non_negative_on_random_moments(self):
         rng = np.random.default_rng(1)
         for _ in range(500):
-            a = MomentPair(rng.uniform(0, np.pi), rng.uniform(1e-6, 1.0), 10)
-            b = MomentPair(rng.uniform(0, np.pi), rng.uniform(1e-6, 1.0), 10)
-            assert bhattacharyya_empirical(a, b) >= 0.0
+            a = (rng.uniform(0, np.pi), rng.uniform(1e-6, 1.0))
+            b = (rng.uniform(0, np.pi), rng.uniform(1e-6, 1.0))
+            assert bhattacharyya(*a, *b) >= 0.0
 
     def test_monotone_in_mean_gap(self):
-        base = MomentPair(mean=1.0, var=0.05, count=10)
         gaps = np.linspace(0.0, 1.5, 25)
-        values = [
-            bhattacharyya_empirical(base, MomentPair(1.0 + g, 0.02, 10)) for g in gaps
-        ]
+        values = [bhattacharyya(1.0, 0.05, 1.0 + g, 0.02) for g in gaps]
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -147,9 +157,7 @@ class TestClusterDistance:
         # Moments that model within-subspace (var 1/98) against
         # cross-subspace (var 1/8) angle spreads; frozen by direct
         # high-precision evaluation.
-        d = bhattacharyya_empirical(
-            MomentPair(np.pi / 2, 1 / 98, 200), MomentPair(np.pi / 2, 1 / 8, 200)
-        )
+        d = bhattacharyya(np.pi / 2, 1 / 98, np.pi / 2, 1 / 8)
         assert d == pytest.approx(0.31904370168845896, abs=1e-12)
 
     def test_too_few_within_angles(self):
