@@ -75,12 +75,18 @@ def _make_report(run: ClusterRun, seed: int) -> dict:
     return report
 
 
-def _cmd_cluster(args) -> int:
+def _run_into(args) -> tuple[ClusterRun, Path]:
+    """Cluster the ``--input`` CSV and create the ``--out`` directory."""
     data = load_points_csv(args.input, labeled=args.labeled)
     initial = _load_label_file(args.init_labels) if args.init_labels else None
     run = cluster_dataset(data, seed=args.seed, initial_labels=initial)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    return run, out
+
+
+def _cmd_cluster(args) -> int:
+    run, out = _run_into(args)
     report = _make_report(run, args.seed)
     (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     _save_label_file(out / "labels.csv", run.labels)
@@ -170,11 +176,7 @@ def _write_histogram(path, values: np.ndarray) -> None:
 
 
 def _cmd_trace(args) -> int:
-    data = load_points_csv(args.input, labeled=args.labeled)
-    initial = _load_label_file(args.init_labels) if args.init_labels else None
-    run = cluster_dataset(data, seed=args.seed, initial_labels=initial)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    run, out = _run_into(args)
     with open(out / "trace.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["k", "gamma", "zeta", "t"])
@@ -246,19 +248,28 @@ def _add_synth_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=1.0, help="dp concentration")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Makes a malformed command line a typed error: exit 1, not exit 2 (no crossing)."""
+
+    def error(self, message):
+        raise DegenerateInputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="anglemerge",
         description="Parameter-free subspace clustering by angle-distribution merging",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cluster", help="cluster a CSV dataset")
-    p.add_argument("--input", required=True, help="points CSV, one point per row")
-    p.add_argument("--labeled", action="store_true", help="final CSV column is the true label")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init-labels", help="file with one initial cluster id per point")
-    p.add_argument("--out", required=True, help="output directory")
+    shared = _Parser(add_help=False)  # shared by cluster and trace
+    shared.add_argument("--input", required=True, help="points CSV, one point per row")
+    shared.add_argument("--labeled", action="store_true", help="final CSV column is the true label")
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--init-labels", help="file with one initial cluster id per point")
+    shared.add_argument("--out", required=True, help="output directory")
+
+    p = sub.add_parser("cluster", parents=[shared], help="cluster a CSV dataset")
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
@@ -279,12 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("trace", help="emit the score/threshold trace and angle histograms")
-    p.add_argument("--input", required=True)
-    p.add_argument("--labeled", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init-labels")
-    p.add_argument("--out", required=True, help="output directory")
+    p = sub.add_parser("trace", parents=[shared],
+                       help="emit the score/threshold trace and angle histograms")
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("bounds", help="tabulate threshold bound quantities")
@@ -299,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (AngleMergeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -9,15 +9,17 @@ their cross-angle set into within-angle mass, so
     within_new  = within_a + within_b + between_ab
     between_new,k = between_a,k + between_b,k   for every other k
 
-with no angle ever re-read. For P initial clusters the merge loop costs
-O(P^3) as written: each merge compacts the P x P statistics with np.ix_
-and the distance matrix with two np.delete calls. Seeding costs
-O(N^2 log N) for the full-row ally argsort.
+with no angle ever re-read. Clusters keep their P initial slots, so a
+merge costs O(P) for the statistics and distance refresh plus one O(P^2)
+argmin scan, with no per-merge copies. Seeding costs O(N^2 log N) for the
+full-row ally argsort.
 """
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -44,10 +46,12 @@ __all__ = [
 class Clustering:
     """A partition of point indices with additive angle statistics.
 
-    Cluster slot k holds the index set ``clusters[k]`` plus the sufficient
-    statistics of its within-angle set; slot pair (k, l) holds those of the
-    cross-angle set. Between-matrices are symmetric with zero diagonal.
-    Counts are implied: C(size_k, 2) within, size_k * size_l between.
+    Each of the P fixed slots holds an index set ``clusters[k]`` plus the
+    sufficient statistics of its within-angle set; slot pair (k, l) holds
+    those of the cross-angle set. Between-matrices are symmetric with zero
+    diagonal. Counts are implied: C(size_k, 2) within, size_k * size_l
+    between. A merge empties one slot (no indices, zero statistics) and
+    moves no other; ``k`` counts the non-empty slots, ``live`` lists them.
     """
 
     def __init__(self, clusters, w_sum, w_sumsq, b_sum, b_sumsq, n_points):
@@ -71,11 +75,9 @@ class Clustering:
             raise DegenerateInputError("labels must have one entry per point")
         values, assignment = np.unique(labels, return_inverse=True)
         k = values.size
-        sum_matrix, sumsq_matrix = angles.grouped_sums(assignment, k)
-        w_sum = np.diagonal(sum_matrix).copy()
-        w_sumsq = np.diagonal(sumsq_matrix).copy()
-        b_sum = sum_matrix.copy()
-        b_sumsq = sumsq_matrix.copy()
+        b_sum, b_sumsq = angles.grouped_sums(assignment, k)
+        w_sum = np.diagonal(b_sum).copy()
+        w_sumsq = np.diagonal(b_sumsq).copy()
         np.fill_diagonal(b_sum, 0.0)
         np.fill_diagonal(b_sumsq, 0.0)
         clusters = [np.where(assignment == i)[0] for i in range(k)]
@@ -83,20 +85,16 @@ class Clustering:
 
     @property
     def k(self) -> int:
-        return len(self.clusters)
+        return int(np.count_nonzero(self.sizes))
 
     @property
-    def assignment(self) -> np.ndarray:
-        out = np.empty(self.n_points, dtype=np.int64)
-        for i, members in enumerate(self.clusters):
-            out[members] = i
-        return out
-
-    def within_counts(self) -> np.ndarray:
-        return self.sizes * (self.sizes - 1) // 2
+    def live(self) -> np.ndarray:
+        """The non-empty slots, ascending."""
+        return np.flatnonzero(self.sizes)
 
     def within_stats_of(self, k: int) -> PairStats:
-        return PairStats(float(self.w_sum[k]), float(self.w_sumsq[k]), int(self.within_counts()[k]))
+        size = int(self.sizes[k])
+        return PairStats(float(self.w_sum[k]), float(self.w_sumsq[k]), size * (size - 1) // 2)
 
     def between_stats_of(self, k: int, l: int) -> PairStats:
         if k == l:
@@ -108,42 +106,29 @@ class Clustering:
         )
 
     def copy(self) -> "Clustering":
-        return Clustering(
-            [c.copy() for c in self.clusters],
-            self.w_sum.copy(),
-            self.w_sumsq.copy(),
-            self.b_sum.copy(),
-            self.b_sumsq.copy(),
-            self.n_points,
-        )
+        return deepcopy(self)
 
     def merge(self, a: int, b: int) -> int:
         """Merge clusters a and b by additive statistic combination.
 
-        The merged cluster lands in slot min(a, b); slots above max(a, b)
-        shift down by one. Returns the merged cluster's slot.
+        Slot max(a, b) is folded into slot min(a, b) in place and left
+        empty; no other slot moves. Returns the merged cluster's slot.
         """
-        if a == b:
-            raise DegenerateInputError("cannot merge a cluster with itself")
+        if a == b or self.sizes[a] == 0 or self.sizes[b] == 0:
+            raise DegenerateInputError(f"cannot merge slot {a} with slot {b}: same or empty slot")
         p, q = (a, b) if a < b else (b, a)
-        self.w_sum[p] += self.w_sum[q] + self.b_sum[p, q]
-        self.w_sumsq[p] += self.w_sumsq[q] + self.b_sumsq[p, q]
-        self.b_sum[p, :] += self.b_sum[q, :]
-        self.b_sum[:, p] = self.b_sum[p, :]
-        self.b_sumsq[p, :] += self.b_sumsq[q, :]
-        self.b_sumsq[:, p] = self.b_sumsq[p, :]
-
-        keep = np.r_[0:q, q + 1 : self.k]
-        self.w_sum = self.w_sum[keep]
-        self.w_sumsq = self.w_sumsq[keep]
-        self.b_sum = self.b_sum[np.ix_(keep, keep)]
-        self.b_sumsq = self.b_sumsq[np.ix_(keep, keep)]
-        self.b_sum[p, p] = 0.0
-        self.b_sumsq[p, p] = 0.0
+        for w, b_mat in ((self.w_sum, self.b_sum), (self.w_sumsq, self.b_sumsq)):
+            w[p] += w[q] + b_mat[p, q]
+            b_mat[p, :] += b_mat[q, :]
+            b_mat[p, p] = b_mat[p, q] = 0.0
+            b_mat[:, p] = b_mat[p, :]
+            w[q] = 0.0
+            b_mat[q, :] = b_mat[:, q] = 0.0
 
         self.clusters[p] = np.concatenate([self.clusters[p], self.clusters[q]])
-        del self.clusters[q]
-        self.sizes = np.array([len(c) for c in self.clusters], dtype=np.int64)
+        self.clusters[q] = self.clusters[q][:0]
+        self.sizes[p] += self.sizes[q]
+        self.sizes[q] = 0
         return p
 
     def consistency_error(self, angles: AngleCache) -> float:
@@ -151,46 +136,42 @@ class Clustering:
         recomputation off the angle cache. Used by oracle tests."""
         from .stats import between_stats, within_stats
 
-        worst = 0.0
-
         def rel(stored, fresh):
             return abs(stored - fresh) / max(abs(fresh), 1.0)
 
-        for k in range(self.k):
-            fresh = within_stats(self.clusters[k], angles)
-            stored = self.within_stats_of(k)
-            worst = max(worst, rel(stored.total, fresh.total), rel(stored.total_sq, fresh.total_sq))
+        c = self.clusters
+        checks = [(self.within_stats_of(k), within_stats(c[k], angles)) for k in self.live]
+        checks += [
+            (self.between_stats_of(k, l), between_stats(c[k], c[l], angles))
+            for k, l in combinations(self.live, 2)
+        ]
+        worst = 0.0
+        for stored, fresh in checks:
             if stored.count != fresh.count:
                 return np.inf
-            for l in range(k + 1, self.k):
-                fresh = between_stats(self.clusters[k], self.clusters[l], angles)
-                stored = self.between_stats_of(k, l)
-                worst = max(
-                    worst, rel(stored.total, fresh.total), rel(stored.total_sq, fresh.total_sq)
-                )
-                if stored.count != fresh.count:
-                    return np.inf
+            worst = max(worst, rel(stored.total, fresh.total), rel(stored.total_sq, fresh.total_sq))
         return worst
 
 
-def _within_moments(clustering: Clustering):
-    """Cluster sizes (as floats) and per-cluster within-angle moments."""
-    sizes = clustering.sizes.astype(np.float64)
-    mean_w, var_w = moments(clustering.w_sum, clustering.w_sumsq, sizes * (sizes - 1.0) / 2.0)
+def _within_moments(clustering: Clustering, live: np.ndarray):
+    """Sizes (as floats) and within-angle moments of the given live slots."""
+    sizes = clustering.sizes[live].astype(np.float64)
+    mean_w, var_w = moments(
+        clustering.w_sum[live], clustering.w_sumsq[live], sizes * (sizes - 1.0) / 2.0
+    )
     return sizes, mean_w, var_w
 
 
 def _check_mergeable(clustering: Clustering) -> None:
     if clustering.k < 2:
         raise DegenerateInputError("need at least 2 clusters")
-    if int(clustering.sizes.min()) < 3:
-        raise TooFewAnglesError(
-            f"every cluster needs >= 3 points, smallest has {int(clustering.sizes.min())}"
-        )
+    smallest = int(clustering.sizes[clustering.live].min())
+    if smallest < 3:
+        raise TooFewAnglesError(f"every cluster needs >= 3 points, smallest has {smallest}")
 
 
 def distance_matrix(clustering: Clustering) -> np.ndarray:
-    """All pairwise cluster distances d[k, l]; +inf on the diagonal.
+    """All pairwise slot distances d[k, l]; +inf on the diagonal and for empty slots.
 
     Not symmetric: d[k, l] judges the k-to-l cross angles against cluster
     k's own within angles, d[l, k] against cluster l's.
@@ -198,25 +179,34 @@ def distance_matrix(clustering: Clustering) -> np.ndarray:
     _check_mergeable(clustering)
     # Sizes >= 3 keep every count above 1. The diagonal's between sums are
     # zero, so its entries are finite (floored variance) until set to inf.
-    sizes, mean_w, var_w = _within_moments(clustering)
-    mean_b, var_b = moments(clustering.b_sum, clustering.b_sumsq, np.outer(sizes, sizes))
-    d = bhattacharyya(mean_w[:, None], var_w[:, None], mean_b, var_b)
+    live = clustering.live
+    block = np.ix_(live, live)
+    sizes, mean_w, var_w = _within_moments(clustering, live)
+    counts = np.outer(sizes, sizes)
+    mean_b, var_b = moments(clustering.b_sum[block], clustering.b_sumsq[block], counts)
+    d = np.full(clustering.b_sum.shape, np.inf)
+    d[block] = bhattacharyya(mean_w[:, None], var_w[:, None], mean_b, var_b)
     np.fill_diagonal(d, np.inf)
     return d
 
 
-def _refresh_distance(d: np.ndarray, clustering: Clustering, k: int) -> None:
-    """Recompute row and column k of the distance matrix after a merge.
+def _refresh_distance(d: np.ndarray, clustering: Clustering, kept: int, emptied: int) -> None:
+    """Recompute row and column ``kept`` over the live slots after slot
+    ``emptied`` merged into it, and set those of ``emptied`` to +inf.
 
     The between matrices are symmetric, so the single moments row serves
-    both directions; with the within moments this is the whole O(K)
-    per-merge distance update.
+    both directions: the whole per-merge distance update is O(P).
     """
-    sizes, mean_w, var_w = _within_moments(clustering)
-    mean_b, var_b = moments(clustering.b_sum[k], clustering.b_sumsq[k], sizes[k] * sizes)
-    d[k, :] = bhattacharyya(mean_w[k], var_w[k], mean_b, var_b)
-    d[:, k] = bhattacharyya(mean_w, var_w, mean_b, var_b)
-    d[k, k] = np.inf
+    live = clustering.live
+    sizes, mean_w, var_w = _within_moments(clustering, live)
+    at = int(np.searchsorted(live, kept))
+    mean_b, var_b = moments(
+        clustering.b_sum[kept, live], clustering.b_sumsq[kept, live], sizes[at] * sizes
+    )
+    d[kept, live] = bhattacharyya(mean_w[at], var_w[at], mean_b, var_b)
+    d[live, kept] = bhattacharyya(mean_w, var_w, mean_b, var_b)
+    d[kept, kept] = np.inf
+    d[emptied, :] = d[:, emptied] = np.inf
 
 
 @dataclass
@@ -231,10 +221,10 @@ class ScoreSet:
 
 def compute_scores(clustering: Clustering, d: np.ndarray | None = None) -> ScoreSet:
     """Cluster scores eta_j = min_l d[j, l], the clustering score gamma =
-    min_j eta_j, and the mergeable pair attaining it.
+    min_j eta_j, and the mergeable pair attaining it, all in slot numbers.
 
-    Ties break to the smallest cluster index, then the smallest partner
-    index (argmin picks the first occurrence).
+    Empty slots score +inf and are never picked. Ties break to the smallest
+    slot, then the smallest partner slot (argmin picks the first occurrence).
     """
     if d is None:
         d = distance_matrix(clustering)
@@ -315,6 +305,7 @@ def run_merging(initial: Clustering) -> MergeRun:
     with its threshold (computed from the pair's independent-sample budget
     t_K = min(floor(size_i*/2), size_j*)), and the pair is merged. The
     loop ends after recording K = 2. The input clustering is not modified.
+    Records number the K live slots 0..K-1 in slot order, as labels_at does.
     """
     if initial.k < 2:
         raise DegenerateInputError("merging needs at least 2 initial clusters")
@@ -325,28 +316,29 @@ def run_merging(initial: Clustering) -> MergeRun:
     while True:
         scores = compute_scores(work, d)
         i_star, j_star = scores.pair
+        live = work.live
+        rank = np.cumsum(work.sizes > 0) - 1
+        pair = (int(rank[i_star]), int(rank[j_star]))
         t_k = t_pair(int(work.sizes[i_star]), int(work.sizes[j_star]))
         steps.append(
             MergeStep(
-                k=work.k,
+                k=live.size,
                 gamma=scores.gamma,
                 zeta=threshold(t_k),
                 t=t_k,
-                pair=scores.pair,
-                eta=scores.eta.copy(),
-                partners=scores.partners.copy(),
+                pair=pair,
+                eta=scores.eta[live],
+                partners=rank[scores.partners[live]],
             )
         )
-        if work.k == 2:
+        if live.size == 2:
             break
-        merged.append(scores.pair)
-        q = max(i_star, j_star)
-        slot = work.merge(i_star, j_star)
-        d = np.delete(np.delete(d, q, axis=0), q, axis=1)
-        _refresh_distance(d, work, slot)
+        merged.append(pair)
+        kept = work.merge(i_star, j_star)
+        _refresh_distance(d, work, kept, max(i_star, j_star))
     return MergeRun(
         steps=steps,
-        initial_clusters=[c.copy() for c in initial.clusters],
+        initial_clusters=[initial.clusters[s].copy() for s in initial.live],
         merged_pairs=merged,
         n_points=initial.n_points,
     )

@@ -293,6 +293,23 @@ class TestErrorPaths:
         assert run_cli(*argv) == EXIT_ERROR
         assert_one_line_error(capsys.readouterr().err)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["bounds", "--t-list", "abc"],
+         ["cluster", "--seed", "x", "--input", "a.csv", "--out", "o"],
+         []],
+        ids=["bad-t-list", "bad-seed", "no-command"],
+    )
+    def test_malformed_command_line_is_a_typed_error(self, capsys, argv):
+        assert run_cli(*argv) == EXIT_ERROR
+        assert_one_line_error(capsys.readouterr().err)
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--help")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: anglemerge")
+
     def test_console_script_entry_point(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "anglemerge.cli", "bounds", "--t-list", "11"],

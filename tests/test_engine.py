@@ -172,6 +172,21 @@ class TestComputeScores:
         assert (off_diag >= 0).all()
         assert d[0, 1] != pytest.approx(d[1, 0], abs=1e-6)
 
+    def test_empty_slots_score_inf_and_are_never_picked(self):
+        clustering = self.clustering_with_k_groups(5, 6)
+        clustering.merge(0, 3)
+        clustering.merge(5, 2)
+        live, empty = [0, 1, 2, 4], [3, 5]
+        d = distance_matrix(clustering)
+        assert np.isinf(d[empty, :]).all() and np.isinf(d[:, empty]).all()
+        assert np.isfinite(d[np.ix_(live, live)][~np.eye(4, dtype=bool)]).all()
+        scores = compute_scores(clustering)
+        assert scores.eta.shape == (6,)
+        assert np.isinf(scores.eta[empty]).all()
+        assert np.isfinite(scores.eta[live]).all()
+        assert set(scores.pair) <= set(live)
+        assert set(scores.partners[live].tolist()) <= set(live)
+
 
 class TestMergeStep:
     def test_counting_identity_two_triples(self):
@@ -186,14 +201,48 @@ class TestMergeStep:
         cache = make_cache(unit_sphere_points(rng, 60, 10))
         labels = np.repeat(np.arange(12), 5)
         clustering = Clustering.from_labels(cache, labels)
-        order = rng.integers(0, 1_000_000, size=8)
-        for step, pick in enumerate(order):
-            a = int(pick % clustering.k)
-            b = int((pick // 7) % clustering.k)
-            if a == b:
-                b = (a + 1) % clustering.k
-            merge_step(clustering, (a, b))
+        for _ in range(8):
+            a, b = rng.choice(clustering.live, size=2, replace=False)
+            merge_step(clustering, (int(a), int(b)))
             assert clustering.consistency_error(cache) < 1e-9
+
+    @staticmethod
+    def six_slots():
+        cache = make_cache(unit_sphere_points(np.random.default_rng(11), 36, 8))
+        return Clustering.from_labels(cache, np.arange(36) % 6)
+
+    def test_merge_moves_no_other_slot(self):
+        clustering = self.six_slots()
+        before = clustering.copy()
+        b_sum = clustering.b_sum
+        assert clustering.merge(4, 1) == 1
+        assert clustering.b_sum is b_sum
+        others = [0, 2, 3, 5]
+        block = np.ix_(others, others)
+        for k in others:
+            np.testing.assert_array_equal(clustering.clusters[k], before.clusters[k])
+        for name in ("w_sum", "w_sumsq"):
+            np.testing.assert_array_equal(getattr(clustering, name)[others],
+                                          getattr(before, name)[others])
+        for name in ("b_sum", "b_sumsq"):
+            now, then = getattr(clustering, name), getattr(before, name)
+            np.testing.assert_array_equal(now[block], then[block])
+            np.testing.assert_array_equal(now[1, others], then[1, others] + then[4, others])
+            np.testing.assert_array_equal(now[:, 1], now[1, :])
+            assert not now[4].any() and not now[:, 4].any() and now[1, 1] == 0.0
+        assert clustering.w_sum[4] == 0.0 and clustering.w_sumsq[4] == 0.0
+        assert clustering.clusters[4].size == 0
+        assert clustering.sizes.tolist() == [6, 12, 6, 6, 0, 6]
+        assert clustering.k == 5
+        assert clustering.live.tolist() == [0, 1, 2, 3, 5]
+
+    def test_merging_an_empty_slot_raises(self):
+        clustering = self.six_slots()
+        clustering.merge(1, 4)
+        for pair in ((4, 0), (1, 4), (5, 4)):
+            with pytest.raises(DegenerateInputError):
+                clustering.merge(*pair)
+        assert clustering.sizes.tolist() == [6, 12, 6, 6, 0, 6]
 
     def test_counts_stay_consistent_through_merges(self):
         rng = np.random.default_rng(5)
@@ -348,11 +397,32 @@ class TestRunMerging:
         d = distance_matrix(work)
         while work.k > 2:
             i_star, j_star = compute_scores(work, d).pair
-            q = max(i_star, j_star)
-            slot = work.merge(i_star, j_star)
-            d = np.delete(np.delete(d, q, axis=0), q, axis=1)
-            _refresh_distance(d, work, slot)
+            kept = work.merge(i_star, j_star)
+            _refresh_distance(d, work, kept, max(i_star, j_star))
             assert np.array_equal(d, distance_matrix(work))
+
+    def test_records_match_scores_of_the_compacted_clustering(self):
+        # Records number the K live slots 0..K-1 in slot order, as labels_at
+        # does; a clustering rebuilt from labels_at(K) must score the same.
+        rng = np.random.default_rng(12)
+        cache = make_cache(unit_sphere_points(rng, 90, 8))
+        run = run_merging(initial_clustering(cache, seed=0))
+        for step in run.steps:
+            scores = compute_scores(Clustering.from_labels(cache, run.labels_at(step.k)))
+            assert scores.pair == step.pair
+            np.testing.assert_array_equal(scores.partners, step.partners)
+            np.testing.assert_allclose(scores.eta, step.eta, rtol=1e-9)
+
+    def test_starts_from_a_clustering_with_empty_slots(self):
+        rng = np.random.default_rng(13)
+        clustering = Clustering.from_labels(make_cache(unit_sphere_points(rng, 40, 8)),
+                                            np.arange(40) % 8)
+        clustering.merge(6, 2)
+        run = run_merging(clustering)
+        assert run.initial_k == run.steps[0].k == 7
+        labels = run.labels_at(7)
+        for rank, slot in enumerate(clustering.live):
+            assert np.flatnonzero(labels == rank).tolist() == sorted(clustering.clusters[slot])
 
 
 def synthetic_run(gammas, zetas, n_points=15, groups=5):
