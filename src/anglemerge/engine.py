@@ -11,8 +11,9 @@ their cross-angle set into within-angle mass, so
 
 with no angle ever re-read. Clusters keep their P initial slots, so a
 merge costs O(P) for the statistics and distance refresh plus one O(P^2)
-argmin scan, with no per-merge copies. Seeding costs O(N^2 log N) for the
-full-row ally argsort.
+argmin scan, with no per-merge copies. Seeding costs O(N^2): a row-blocked
+partial sort finds each point's two allies, and the initial statistics are
+sparse one-hot products over the angle matrix.
 """
 
 from __future__ import annotations
@@ -180,12 +181,19 @@ def distance_matrix(clustering: Clustering) -> np.ndarray:
     # Sizes >= 3 keep every count above 1. The diagonal's between sums are
     # zero, so its entries are finite (floored variance) until set to inf.
     live = clustering.live
-    block = np.ix_(live, live)
+    # With every slot live (each run's first call) the matrices are read
+    # whole, as views, and the result is d itself: no copied live block.
+    full = live.size == clustering.sizes.size
+    block = np.s_[:, :] if full else np.ix_(live, live)
     sizes, mean_w, var_w = _within_moments(clustering, live)
-    counts = np.outer(sizes, sizes)
-    mean_b, var_b = moments(clustering.b_sum[block], clustering.b_sumsq[block], counts)
-    d = np.full(clustering.b_sum.shape, np.inf)
-    d[block] = bhattacharyya(mean_w[:, None], var_w[:, None], mean_b, var_b)
+    mean_b, var_b = moments(
+        clustering.b_sum[block], clustering.b_sumsq[block], np.outer(sizes, sizes)
+    )
+    d = bhattacharyya(mean_w[:, None], var_w[:, None], mean_b, var_b)
+    if not full:
+        d_live = d
+        d = np.full(clustering.b_sum.shape, np.inf)
+        d[block] = d_live
     np.fill_diagonal(d, np.inf)
     return d
 
@@ -369,17 +377,6 @@ def select_clustering(run: MergeRun) -> SelectionResult:
     return SelectionResult(l_hat=l_hat, labels=run.labels_at(l_hat), crossed=True)
 
 
-def _find_allies(acute: np.ndarray) -> np.ndarray:
-    """Each point's two nearest neighbours under the acute angle.
-
-    Ties resolve to the smaller point index (stable sort), which keeps the
-    whole pipeline deterministic. Returns a copy, so the N x N sort order
-    is freed on return.
-    """
-    order = np.argsort(acute, axis=1, kind="stable")
-    return order[:, :2].copy()
-
-
 def initial_clustering(angles: AngleCache, seed: int) -> Clustering:
     """Parameter-free seeding: each point and its two nearest neighbours.
 
@@ -394,8 +391,7 @@ def initial_clustering(angles: AngleCache, seed: int) -> Clustering:
     n = angles.n_points
     if n < 3:
         raise DegenerateInputError(f"initial clustering needs >= 3 points, got {n}")
-    acute = angles.acute_square()
-    allies = _find_allies(acute)
+    allies = angles.two_nearest()
     rng = np.random.default_rng(seed)
     start = int(rng.integers(n))
 
@@ -418,8 +414,6 @@ def initial_clustering(angles: AngleCache, seed: int) -> Clustering:
             assign[p] = assign[a2]
         else:
             allocated = np.where(assign >= 0)[0]
-            nearest = allocated[np.argmin(acute[p, allocated])]
+            nearest = allocated[np.argmin(angles.acute_row(p)[allocated])]
             assign[p] = assign[nearest]
-    # Free the N x N acute matrix before grouped_sums needs its own temporaries.
-    del acute
     return Clustering.from_labels(angles, assign)

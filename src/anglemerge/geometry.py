@@ -2,7 +2,11 @@
 
 Every downstream stage works on angles between unit vectors, never on the
 raw coordinates, so the angle cache computed here is the single source of
-geometric truth for the whole pipeline.
+geometric truth for the whole pipeline. Computing it costs O(N^2 * n);
+the seeding reads after it cost O(N^2) each and make no N x N temporary:
+``two_nearest`` finds each point's two allies by a partial sort of a block
+of rows at a time, and ``grouped_sums`` aggregates the angle moments of a
+partition through a sparse one-hot matrix.
 """
 
 from __future__ import annotations
@@ -10,11 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import DegenerateInputError, ZeroRowError
 
 # Rows with norm below this are treated as the zero vector.
 ZERO_NORM_EPS = 1e-300
+# Rows (or columns) of the angle matrix handled at a time by the O(N^2) passes.
+_BLOCK = 256
 
 
 @dataclass
@@ -90,18 +97,45 @@ class AngleCache:
     def n_points(self) -> int:
         return self._theta.shape[0]
 
-    def acute_square(self) -> np.ndarray:
-        """Dense symmetric acute-angle matrix min(theta, pi - theta) with
-        +inf on the diagonal.
+    def _acute_rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start:stop of min(theta, pi - theta), with +inf where a row
+        meets its own point, so neighbour searches skip the point itself."""
+        rows = self._theta[start:stop]
+        acute = np.subtract(np.pi, rows)
+        np.minimum(acute, rows, out=acute)
+        acute[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        return acute
 
-        The diagonal sentinel lets argmin-style neighbour searches skip the
-        point itself.
+    def acute_row(self, i: int) -> np.ndarray:
+        """One row of acute angles min(theta, pi - theta), +inf at i itself."""
+        self.reads += 1
+        return self._acute_rows(i, i + 1)[0]
+
+    def two_nearest(self) -> np.ndarray:
+        """Each point's two nearest neighbours under the acute angle, N x 2.
+
+        Ties resolve to the smaller point index, exactly as a stable sort of
+        the whole row would. Works on blocks of rows: a partial sort finds
+        three candidates per row in O(N), which are then ordered by (angle,
+        index). A row with more than two angles at or below its second
+        candidate's (a tie at the boundary) is stable-sorted on its own.
+        O(N^2) in all, with no N x N temporary.
         """
         self.reads += 1
-        acute = np.subtract(np.pi, self._theta)
-        np.minimum(acute, self._theta, out=acute)
-        np.fill_diagonal(acute, np.inf)
-        return acute
+        n = self.n_points
+        allies = np.empty((n, 2), dtype=np.int64)
+        for start in range(0, n, _BLOCK):
+            stop = min(start + _BLOCK, n)
+            acute = self._acute_rows(start, stop)
+            cand = np.argpartition(acute, 2, axis=1)[:, :3]
+            values = np.take_along_axis(acute, cand, axis=1)
+            order = np.lexsort((cand, values))
+            cand = np.take_along_axis(cand, order, axis=1)
+            second = np.take_along_axis(values, order[:, 1:2], axis=1)
+            allies[start:stop] = cand[:, :2]
+            for r in np.flatnonzero(np.count_nonzero(acute <= second, axis=1) > 2):
+                allies[start + r] = np.argsort(acute[r], kind="stable")[:2]
+        return allies
 
     def cross_values(self, idx_a: np.ndarray, idx_b: np.ndarray) -> np.ndarray:
         """All angles between one index set and another (disjoint) one.
@@ -127,24 +161,33 @@ class AngleCache:
         between groups k and l once; diagonal entry (k, k) aggregates every
         within-group angle of k once.
 
-        One one-hot matrix product per moment, straight on the dense store
-        (its zero diagonal adds nothing), replaces N^2 scalar lookups, which
-        is what keeps distance initialization at O(N^2 * P).
+        The one-hot P x N matrix is sparse, so onehot @ theta @ onehot.T
+        costs O(N^2) whatever the number of groups P. theta is walked in
+        column blocks, squared one block at a time, so no N x N temporary
+        is made. The upper triangle is mirrored into the lower one, which
+        makes both results bitwise symmetric.
         """
         self.reads += 1
         n = self.n_points
         assignment = np.asarray(assignment, dtype=np.int64)
         if assignment.shape != (n,):
             raise DegenerateInputError("assignment must have one entry per point")
-        onehot = np.zeros((n, n_groups))
-        onehot[np.arange(n), assignment] = 1.0
-
-        sum_matrix = onehot.T @ self._theta @ onehot
-        sumsq_matrix = onehot.T @ np.square(self._theta) @ onehot
-        # The bilinear form double-counts within-group pairs (i, j) and (j, i).
-        np.fill_diagonal(sum_matrix, np.diagonal(sum_matrix) / 2.0)
-        np.fill_diagonal(sumsq_matrix, np.diagonal(sumsq_matrix) / 2.0)
-        return sum_matrix, sumsq_matrix
+        onehot = csr_matrix((np.ones(n), (assignment, np.arange(n))), shape=(n_groups, n))
+        left = np.empty((n_groups, n))
+        left_sq = np.empty((n_groups, n))
+        for start in range(0, n, _BLOCK):
+            cols = self._theta[:, start : start + _BLOCK]
+            left[:, start : start + _BLOCK] = onehot @ cols
+            left_sq[:, start : start + _BLOCK] = onehot @ np.square(cols)
+        lower = np.tri(n_groups, k=-1, dtype=bool)
+        sums = []
+        for half in (left, left_sq):
+            total = half @ onehot.T
+            np.copyto(total, total.T, where=lower)
+            # The bilinear form double-counts within-group pairs (i, j) and (j, i).
+            np.fill_diagonal(total, np.diagonal(total) / 2.0)
+            sums.append(total)
+        return tuple(sums)
 
 
 def compute_angles(data: DataSet) -> AngleCache:

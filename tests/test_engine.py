@@ -5,7 +5,6 @@ from anglemerge.engine import (
     Clustering,
     MergeRun,
     MergeStep,
-    _find_allies,
     _refresh_distance,
     compute_scores,
     distance_matrix,
@@ -103,11 +102,11 @@ class TestInitialClustering:
         assert [c.tolist() for c in a.clusters] == [c.tolist() for c in b.clusters]
 
     def test_allies_do_not_view_the_sort_order(self):
-        # A view of the N x N argsort result would keep all of it alive
+        # A view of a block's partial sort would keep that block alive
         # through pass 2 and the grouped sums.
         rng = np.random.default_rng(2)
         cache = make_cache(unit_sphere_points(rng, 40, 6))
-        allies = _find_allies(cache.acute_square())
+        allies = cache.two_nearest()
         assert allies.shape == (40, 2)
         assert allies.base is None
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anglemerge.engine import Clustering
 from anglemerge.errors import DegenerateInputError, ZeroRowError
 from anglemerge.geometry import (
     DataSet,
@@ -9,7 +10,7 @@ from anglemerge.geometry import (
     normalize_rows,
     save_points_csv,
 )
-from helpers import angle_oracle, unit_sphere_points
+from helpers import acute_matrix, angle_oracle, unit_sphere_points
 
 
 class TestDataSet:
@@ -69,7 +70,7 @@ class TestComputeAngles:
     def test_identical_orthogonal_antipodal(self):
         points = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         cache = compute_angles(DataSet(points=points))
-        acute = cache.acute_square()
+        acute = acute_matrix(cache)
         assert theta(cache, 0, 1) == pytest.approx(0.0, abs=1e-12)
         assert acute[0, 1] == pytest.approx(0.0, abs=1e-12)
         assert theta(cache, 0, 2) == pytest.approx(np.pi / 2, abs=1e-12)
@@ -83,7 +84,7 @@ class TestComputeAngles:
         for i in range(12):
             for j in range(i + 1, 12):
                 assert theta(cache, i, j) == theta(cache, j, i)
-        acute = cache.acute_square()
+        acute = acute_matrix(cache)
         np.testing.assert_array_equal(acute, acute.T)
 
     def test_range_and_acute_identity(self):
@@ -92,7 +93,7 @@ class TestComputeAngles:
         upper = np.triu_indices(40, k=1)
         values = cache.within_values(np.arange(40))
         assert ((0.0 <= values) & (values <= np.pi)).all()
-        acute = cache.acute_square()
+        acute = acute_matrix(cache)
         np.testing.assert_allclose(
             acute[upper], np.minimum(values, np.pi - values), rtol=0, atol=1e-12
         )
@@ -196,15 +197,25 @@ class TestAngleCacheAccess:
         np.testing.assert_allclose(sums, expect_sum, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(sumsqs, expect_sq, rtol=1e-12, atol=1e-12)
 
+    def test_grouped_sums_are_bitwise_symmetric(self):
+        # The initial distance matrix reads the k-l cross set from both
+        # (k, l) and (l, k); they must be the same number.
+        rng = np.random.default_rng(9)
+        cache = compute_angles(DataSet(points=unit_sphere_points(rng, 36, 7)))
+        clustering = Clustering.from_labels(cache, rng.integers(0, 6, size=36))
+        assert np.array_equal(clustering.b_sum, clustering.b_sum.T)
+        assert np.array_equal(clustering.b_sumsq, clustering.b_sumsq.T)
+
     def test_read_counter_increments(self):
         rng = np.random.default_rng(8)
         cache = compute_angles(DataSet(points=unit_sphere_points(rng, 6, 3)))
         assert cache.reads == 0
         cache.cross_values(np.array([0]), np.array([1]))
-        cache.acute_square()
+        cache.acute_row(2)
+        cache.two_nearest()
         cache.within_values(np.array([0, 1, 2]))
         cache.grouped_sums(np.zeros(6, dtype=np.int64), 1)
-        assert cache.reads == 4
+        assert cache.reads == 5
 
 
 class TestCsv:
