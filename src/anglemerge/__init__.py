@@ -47,15 +47,7 @@ from .errors import (
 from .geometry import AngleCache, DataSet, compute_angles, load_points_csv, normalize_rows
 from .metrics import abs_cluster_count_error, clustering_error, nmi
 from .pipeline import ClusterRun, cluster_dataset
-from .stats import (
-    PairStats,
-    between_stats,
-    bhattacharyya,
-    cluster_distance,
-    moments,
-    t_pair,
-    within_stats,
-)
+from .stats import bhattacharyya, moments, t_pair
 from .synthetic import (
     DPSpec,
     SubspaceSpec,
@@ -80,7 +72,6 @@ __all__ = [
     "MergeRun",
     "MergeStep",
     "NoFiniteSampleSizeError",
-    "PairStats",
     "SelectionResult",
     "SeparationParams",
     "SubspaceSpec",
@@ -88,11 +79,9 @@ __all__ = [
     "ZeroRowError",
     "abs_cluster_count_error",
     "angle_pdf",
-    "between_stats",
     "bhattacharyya",
     "bound_report",
     "cluster_dataset",
-    "cluster_distance",
     "clustering_error",
     "compute_angles",
     "compute_scores",
@@ -113,5 +102,4 @@ __all__ = [
     "t_min",
     "t_pair",
     "threshold",
-    "within_stats",
 ]

@@ -133,22 +133,20 @@ def _cmd_bench(args) -> int:
         seed = args.seed + trial
         data = _build_synthetic(args, seed=seed)
         run = cluster_dataset(data, seed=seed)
+        l_true = int(np.unique(data.labels).size)
         rows.append(
             {
                 "trial": trial,
                 "seed": seed,
-                "l_true": int(np.unique(data.labels).size),
+                "l_true": l_true,
                 "l_hat": run.selection.l_hat,
-                "abs_l_error": abs_cluster_count_error(
-                    int(np.unique(data.labels).size), run.selection.l_hat
-                ),
+                "abs_l_error": abs_cluster_count_error(l_true, run.selection.l_hat),
                 "ce": clustering_error(data.labels, run.labels),
                 "nmi": nmi(data.labels, run.labels),
                 "crossed": int(run.selection.crossed),
                 "elapsed_ms": run.elapsed_ms,
             }
         )
-    rows.sort(key=lambda r: r["trial"])
     metrics = ("ce", "nmi", "abs_l_error")
     summary = {
         "mean": {m: float(np.mean([r[m] for r in rows])) for m in metrics},
@@ -234,6 +232,13 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _add_synth_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--model", required=True, choices=["normal", "uniform", "dependent", "dp"],
@@ -265,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared = _Parser(add_help=False)  # shared by cluster and trace
     shared.add_argument("--input", required=True, help="points CSV, one point per row")
     shared.add_argument("--labeled", action="store_true", help="final CSV column is the true label")
-    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--seed", type=_seed, default=0)
     shared.add_argument("--init-labels", help="file with one initial cluster id per point")
     shared.add_argument("--out", required=True, help="output directory")
 
@@ -274,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     _add_synth_model_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_synth)
 
@@ -285,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a seeded multi-trial campaign")
     _add_synth_model_args(p)
-    p.add_argument("--seed", type=int, default=0, help="seed of the first trial")
+    p.add_argument("--seed", type=_seed, default=0, help="seed of the first trial")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_bench)

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 from copy import deepcopy
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import DegenerateInputError, TooFewAnglesError
 from .geometry import AngleCache
-from .stats import PairStats, bhattacharyya, moments, t_pair
+from .stats import bhattacharyya, moments, t_pair
 
 __all__ = [
     "Clustering",
@@ -93,19 +92,6 @@ class Clustering:
         """The non-empty slots, ascending."""
         return np.flatnonzero(self.sizes)
 
-    def within_stats_of(self, k: int) -> PairStats:
-        size = int(self.sizes[k])
-        return PairStats(float(self.w_sum[k]), float(self.w_sumsq[k]), size * (size - 1) // 2)
-
-    def between_stats_of(self, k: int, l: int) -> PairStats:
-        if k == l:
-            raise DegenerateInputError("between stats need two distinct clusters")
-        return PairStats(
-            float(self.b_sum[k, l]),
-            float(self.b_sumsq[k, l]),
-            int(self.sizes[k] * self.sizes[l]),
-        )
-
     def copy(self) -> "Clustering":
         return deepcopy(self)
 
@@ -133,25 +119,23 @@ class Clustering:
         return p
 
     def consistency_error(self, angles: AngleCache) -> float:
-        """Worst relative mismatch between stored statistics and a from-scratch
-        recomputation off the angle cache. Used by oracle tests."""
-        from .stats import between_stats, within_stats
-
-        def rel(stored, fresh):
-            return abs(stored - fresh) / max(abs(fresh), 1.0)
-
-        c = self.clusters
-        checks = [(self.within_stats_of(k), within_stats(c[k], angles)) for k in self.live]
-        checks += [
-            (self.between_stats_of(k, l), between_stats(c[k], c[l], angles))
-            for k, l in combinations(self.live, 2)
-        ]
-        worst = 0.0
-        for stored, fresh in checks:
-            if stored.count != fresh.count:
-                return np.inf
-            worst = max(worst, rel(stored.total, fresh.total), rel(stored.total_sq, fresh.total_sq))
-        return worst
+        """Worst relative mismatch |stored - fresh| / max(|fresh|, 1) between
+        the live slots' statistics and a from-scratch ``from_labels`` rebuild
+        of their index sets: one read of the angle cache. +inf when the index
+        sets and ``sizes`` do not describe the same partition of the points.
+        Used by oracle tests."""
+        live = self.live
+        labels = np.full(self.n_points, -1, dtype=np.int64)
+        for rank, slot in enumerate(live):
+            labels[self.clusters[slot]] = rank
+        fresh = Clustering.from_labels(angles, labels)
+        if (labels < 0).any() or not np.array_equal(fresh.sizes, self.sizes[live]):
+            return np.inf
+        block = np.ix_(live, live)
+        stored = (self.w_sum[live], self.w_sumsq[live], self.b_sum[block], self.b_sumsq[block])
+        rebuilt = (fresh.w_sum, fresh.w_sumsq, fresh.b_sum, fresh.b_sumsq)
+        return max(float(np.max(np.abs(s - r) / np.maximum(np.abs(r), 1.0)))
+                   for s, r in zip(stored, rebuilt))
 
 
 def _within_moments(clustering: Clustering, live: np.ndarray):

@@ -18,8 +18,8 @@ from scipy.sparse import csr_matrix
 
 from .errors import DegenerateInputError, ZeroRowError
 
-# Rows with norm below this are treated as the zero vector.
-ZERO_NORM_EPS = 1e-300
+# Rows whose norm lies in this range are normalized by their norm as it is.
+_NORM_RANGE = (2.0**-500, 2.0**500)
 # Rows (or columns) of the angle matrix handled at a time by the O(N^2) passes.
 _BLOCK = 256
 
@@ -48,11 +48,19 @@ class DataSet:
         if bad.size:
             raise DegenerateInputError(f"row {bad[0]} has a NaN or infinite coordinate")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (n_points,):
+            labels = np.asarray(self.labels)
+            if labels.shape != (n_points,):
                 raise DegenerateInputError(
-                    f"labels shape {self.labels.shape} does not match {n_points} points"
+                    f"labels shape {labels.shape} does not match {n_points} points"
                 )
+            if labels.dtype.kind not in "iub":
+                value = labels.astype(np.float64)
+                bad = np.flatnonzero(~(np.abs(value) < 2.0**63) | (value != np.trunc(value)))
+                if bad.size:
+                    raise DegenerateInputError(
+                        f"row {bad[0]} has a non-integer label {labels[bad[0]]}"
+                    )
+            self.labels = labels.astype(np.int64)
 
     @property
     def n_points(self) -> int:
@@ -66,13 +74,24 @@ class DataSet:
 def normalize_rows(data: DataSet) -> DataSet:
     """Project every point onto the unit sphere, preserving labels.
 
-    Raises ZeroRowError for any row whose norm is numerically zero.
+    A row whose norm lies outside _NORM_RANGE, where its squares overflow
+    or lose bits to underflow, is first scaled by a power of two, which is
+    exact, so that its largest coordinate lies in [0.5, 1). Raises
+    ZeroRowError for a row that is all zero.
     """
-    norms = np.linalg.norm(data.points, axis=1)
-    bad = np.where(norms < ZERO_NORM_EPS)[0]
-    if bad.size:
-        raise ZeroRowError(int(bad[0]))
-    return DataSet(points=data.points / norms[:, None], labels=data.labels)
+    points = data.points
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(points, axis=1)
+    odd = np.flatnonzero(~((norms >= _NORM_RANGE[0]) & (norms <= _NORM_RANGE[1])))
+    if odd.size:
+        points = points.copy()
+        _, exponent = np.frexp(np.abs(points[odd]).max(axis=1))
+        points[odd] = np.ldexp(points[odd], -exponent[:, None])
+        norms[odd] = np.linalg.norm(points[odd], axis=1)
+        zero = odd[norms[odd] == 0.0]
+        if zero.size:
+            raise ZeroRowError(int(zero[0]))
+    return DataSet(points=points / norms[:, None], labels=data.labels)
 
 
 class AngleCache:
@@ -208,8 +227,8 @@ def compute_angles(data: DataSet) -> AngleCache:
 def load_points_csv(path, labeled: bool = False) -> DataSet:
     """Read a dataset from CSV: one point per row, comma-separated reals.
 
-    With ``labeled=True`` the final column is parsed as the integer
-    ground-truth label.
+    With ``labeled=True`` the final column is the ground-truth label, which
+    ``DataSet`` checks to be an integer.
     """
     try:
         raw = np.loadtxt(path, delimiter=",", ndmin=2)
@@ -218,7 +237,7 @@ def load_points_csv(path, labeled: bool = False) -> DataSet:
     if labeled:
         if raw.shape[1] < 3:
             raise DegenerateInputError("labeled CSV needs >= 2 feature columns plus a label")
-        return DataSet(points=raw[:, :-1], labels=raw[:, -1].astype(np.int64))
+        return DataSet(points=raw[:, :-1], labels=raw[:, -1])
     return DataSet(points=raw)
 
 

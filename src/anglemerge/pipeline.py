@@ -16,6 +16,7 @@ from .engine import (
     run_merging,
     select_clustering,
 )
+from .errors import DegenerateInputError
 from .geometry import AngleCache, DataSet, compute_angles, normalize_rows
 
 
@@ -51,7 +52,7 @@ class ClusterRun:
         distributions whose separation the selection decision rests on.
         """
         if self.merge_run is None:
-            raise ValueError("run ended before any merge step; no pair to inspect")
+            raise DegenerateInputError("run ended before any merge step; no pair to inspect")
         k = self.selection.l_hat if self.selection.crossed else 2
         step = self.merge_run.steps[self.merge_run.initial_k - k]
         labels = self.merge_run.labels_at(k)

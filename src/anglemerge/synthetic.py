@@ -13,7 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError
-from .geometry import ZERO_NORM_EPS, DataSet
+from .geometry import DataSet
+
+# Generated rows with norm below this are drawn again.
+ZERO_NORM_EPS = 1e-300
 
 
 @dataclass

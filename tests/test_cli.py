@@ -297,12 +297,33 @@ class TestErrorPaths:
         "argv",
         [["bounds", "--t-list", "abc"],
          ["cluster", "--seed", "x", "--input", "a.csv", "--out", "o"],
-         []],
-        ids=["bad-t-list", "bad-seed", "no-command"],
+         [],
+         ["synth", "--model", "normal", "--seed", "-1", "--out", "o.csv"]],
+        ids=["bad-t-list", "bad-seed", "no-command", "negative-seed"],
     )
     def test_malformed_command_line_is_a_typed_error(self, capsys, argv):
         assert run_cli(*argv) == EXIT_ERROR
         assert_one_line_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["cluster", "trace", "synth", "bench"])
+    def test_negative_seed_is_rejected_by_every_command(self, capsys, command):
+        argv = [command, "--seed", "-1", "--out", "o"]
+        argv += ["--input", "a.csv"] if command in ("cluster", "trace") else ["--model", "normal"]
+        assert run_cli(*argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert "--seed" in err
+
+    def test_non_integer_label_column(self, tmp_path, capsys):
+        path = tmp_path / "labeled.csv"
+        rows = unit_sphere_points(np.random.default_rng(0), 30, 4)
+        labels = np.arange(30) % 3 + np.where(np.arange(30) == 7, 0.5, 0.0)
+        np.savetxt(path, np.column_stack([rows, labels]), delimiter=",")
+        code = run_cli("cluster", "--input", str(path), "--labeled", "--out", str(tmp_path / "run"))
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert "row 7" in err
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

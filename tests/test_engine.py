@@ -193,7 +193,8 @@ class TestMergeStep:
         clustering = Clustering.from_labels(cache, np.array([0, 0, 0, 1, 1, 1]))
         merge_step(clustering, (0, 1))
         assert clustering.k == 1
-        assert clustering.within_stats_of(0).count == 15  # 3 + 3 + 9 = C(6,2)
+        assert clustering.sizes.tolist() == [6, 0]  # 3 + 3 + 9 = C(6, 2) within angles
+        assert clustering.consistency_error(cache) < 1e-12
 
     def test_incremental_matches_from_scratch(self):
         rng = np.random.default_rng(4)
@@ -206,9 +207,12 @@ class TestMergeStep:
             assert clustering.consistency_error(cache) < 1e-9
 
     @staticmethod
-    def six_slots():
-        cache = make_cache(unit_sphere_points(np.random.default_rng(11), 36, 8))
-        return Clustering.from_labels(cache, np.arange(36) % 6)
+    def six_slots_cache():
+        return make_cache(unit_sphere_points(np.random.default_rng(11), 36, 8))
+
+    @classmethod
+    def six_slots(cls):
+        return Clustering.from_labels(cls.six_slots_cache(), np.arange(36) % 6)
 
     def test_merge_moves_no_other_slot(self):
         clustering = self.six_slots()
@@ -251,10 +255,48 @@ class TestMergeStep:
             merge_step(clustering, (0, clustering.k - 1))
             sizes = clustering.sizes
             assert sizes.sum() == 40
-            for k in range(clustering.k):
-                assert clustering.within_stats_of(k).count == sizes[k] * (sizes[k] - 1) // 2
-                for l in range(k + 1, clustering.k):
-                    assert clustering.between_stats_of(k, l).count == sizes[k] * sizes[l]
+            assert sizes.tolist() == [len(c) for c in clustering.clusters]
+            assert clustering.consistency_error(cache) < 1e-9
+
+    def test_consistency_oracle_reads_the_cache_once(self):
+        clustering, cache = self.six_slots(), self.six_slots_cache()
+        clustering.merge(1, 4)
+        reads = cache.reads
+        assert clustering.consistency_error(cache) < 1e-12
+        assert cache.reads == reads + 1
+
+    @pytest.mark.parametrize("name, entry", [("w_sum", (2,)), ("w_sumsq", (0,)),
+                                             ("b_sum", (1, 3)), ("b_sumsq", (5, 0))])
+    def test_consistency_oracle_catches_a_perturbed_sum(self, name, entry):
+        clustering, cache = self.six_slots(), self.six_slots_cache()
+        getattr(clustering, name)[entry] *= 1.0 + 1e-6
+        assert clustering.consistency_error(cache) > 1e-9
+
+    def test_consistency_oracle_catches_a_moved_point(self):
+        clustering, cache = self.six_slots(), self.six_slots_cache()
+        clusters = clustering.clusters
+        clusters[3] = np.append(clusters[3], clusters[0][0])
+        clusters[0] = clusters[0][1:]
+        assert clustering.consistency_error(cache) == np.inf
+        clustering.sizes[[0, 3]] = [5, 7]  # sizes follow, the statistics do not
+        assert 1e-9 < clustering.consistency_error(cache) < np.inf
+
+    @pytest.mark.parametrize("fault", ["stale size", "point in two slots", "point in no slot",
+                                       "slot copies another"])
+    def test_consistency_oracle_rejects_a_broken_partition(self, fault):
+        clustering, cache = self.six_slots(), self.six_slots_cache()
+        if fault == "stale size":
+            clustering.sizes[2] += 1
+        elif fault == "point in two slots":
+            clustering.clusters[1] = np.append(clustering.clusters[1], clustering.clusters[4][0])
+            clustering.sizes[1] += 1
+        elif fault == "point in no slot":
+            clustering.clusters[5] = clustering.clusters[5][1:]
+            clustering.sizes[5] -= 1
+        else:
+            # Slot 1's points end in no slot, yet the rebuilt sizes still match.
+            clustering.clusters[1] = clustering.clusters[4].copy()
+        assert clustering.consistency_error(cache) == np.inf
 
     def test_rejects_self_merge(self):
         cache = make_cache(two_bundle_points())

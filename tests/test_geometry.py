@@ -33,6 +33,19 @@ class TestDataSet:
         with pytest.raises(DegenerateInputError, match="row 3"):
             DataSet(points=points)
 
+    @pytest.mark.parametrize("bad", [1.5, np.nan, np.inf, -2.0**70],
+                             ids=["fraction", "nan", "inf", "beyond-int64"])
+    def test_rejects_non_integer_labels(self, bad):
+        labels = np.array([0.0, 1.0, 2.0, 1.0, 0.0])
+        labels[3] = bad
+        with pytest.raises(DegenerateInputError, match="row 3"):
+            DataSet(points=np.ones((5, 3)), labels=labels)
+
+    def test_accepts_integer_valued_float_labels(self):
+        data = DataSet(points=np.ones((4, 3)), labels=np.array([0.0, 2.0, -1.0, 2.0]))
+        assert data.labels.dtype == np.int64
+        assert data.labels.tolist() == [0, 2, -1, 2]
+
 
 class TestNormalizeRows:
     def test_three_four_five_triangle(self):
@@ -52,6 +65,20 @@ class TestNormalizeRows:
         with pytest.raises(ZeroRowError) as info:
             normalize_rows(DataSet(points=points))
         assert info.value.row == 2
+
+    @pytest.mark.parametrize("scale", [1e300, 1e200, 1e154, 1e-160, 1e-200, 1e-300])
+    def test_extreme_scales_normalize_like_unit_scale(self, scale):
+        # Squaring these rows overflows, or underflows into subnormals.
+        points = np.random.default_rng(8).standard_normal((6, 40))
+        expected = normalize_rows(DataSet(points=points)).points
+        out = normalize_rows(DataSet(points=points * scale)).points
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-15)
+
+    def test_only_an_all_zero_row_is_a_zero_row(self):
+        points = np.ones((4, 3))
+        points[1] = [5e-324, 0.0, 0.0]  # the smallest subnormal
+        np.testing.assert_array_equal(normalize_rows(DataSet(points=points)).points[1],
+                                      [1.0, 0.0, 0.0])
 
     def test_norms_are_one_and_labels_preserved(self):
         rng = np.random.default_rng(7)
@@ -227,6 +254,12 @@ class TestCsv:
         loaded = load_points_csv(path, labeled=True)
         np.testing.assert_allclose(loaded.points, data.points, rtol=1e-15)
         np.testing.assert_array_equal(loaded.labels, data.labels)
+
+    def test_non_integer_label_column_is_rejected(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("1.0,2.0,0\n2.0,1.0,1\n3.0,1.0,nan\n1.0,3.0,1\n")
+        with pytest.raises(DegenerateInputError, match="row 2"):
+            load_points_csv(path, labeled=True)
 
     def test_round_trip_unlabeled(self, tmp_path):
         rng = np.random.default_rng(12)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import anglemerge
+from anglemerge.errors import DegenerateInputError
 from anglemerge.geometry import DataSet
 from anglemerge.pipeline import cluster_dataset
 from anglemerge.synthetic import SubspaceSpec, gen_subspace_normal
@@ -24,8 +25,22 @@ class TestClusterDataset:
         assert not run.selection.crossed
         assert run.selection.l_hat == 1
         assert run.trace_rows() == []
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateInputError):
             run.selected_pair_angle_sets()
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, "one row at 1e300"])
+    def test_extreme_coordinates_give_the_unscaled_labels(self, scale):
+        data = gen_subspace_normal(SubspaceSpec(n=60, r=6, L=3, N=150, seed=0))
+        points = data.points.copy()
+        if isinstance(scale, str):
+            points[17] *= 1e300
+        else:
+            points *= scale
+        expected = cluster_dataset(data, seed=0)
+        run = cluster_dataset(DataSet(points=points, labels=data.labels), seed=0)
+        assert expected.selection.crossed and expected.selection.l_hat == 3
+        assert run.selection.crossed and run.selection.l_hat == 3
+        np.testing.assert_array_equal(run.labels, expected.labels)
 
     def test_supplied_initial_labels_are_used(self):
         data = gen_subspace_normal(SubspaceSpec(n=60, r=6, L=2, N=120, seed=1))
@@ -64,3 +79,10 @@ def test_import_does_not_load_scipy_stats():
         capture_output=True, text=True, env=env, check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_star_import_resolves_every_export():
+    namespace = {}
+    exec("from anglemerge import *", namespace)
+    assert set(anglemerge.__all__) <= namespace.keys()
+    assert all(namespace[name] is getattr(anglemerge, name) for name in anglemerge.__all__)

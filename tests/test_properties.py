@@ -1,11 +1,13 @@
-"""Property tests of the O(N^2) seeding passes against brute-force oracles."""
+"""Property tests: the O(N^2) seeding passes against brute-force oracles,
+and the merge engine's statistics and replay against from-scratch rebuilds."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anglemerge.engine import Clustering, run_merging
 from anglemerge.geometry import DataSet, compute_angles, normalize_rows
-from helpers import acute_matrix, angle_oracle
+from helpers import acute_matrix, angle_oracle, unit_sphere_points
 
 SMALL = settings(max_examples=60, deadline=None)
 
@@ -71,3 +73,46 @@ def test_grouped_sums_match_double_loop(seed, n_points, n_groups):
     np.testing.assert_allclose(sums, expect_sum, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(sumsqs, expect_sq, rtol=1e-12, atol=1e-12)
     assert np.array_equal(sums, sums.T) and np.array_equal(sumsqs, sumsqs.T)
+
+
+@st.composite
+def small_clusterings(draw):
+    """A from_labels clustering of 6 to 40 random points into 2 to 8 groups
+    of at least 3 points each, with the labels shuffled over the points."""
+    n_groups = draw(st.integers(2, 8))
+    n_points = draw(st.integers(3 * n_groups, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cache = compute_angles(DataSet(points=unit_sphere_points(rng, n_points, 5)))
+    labels = rng.permutation(np.arange(n_points) % n_groups)
+    return Clustering.from_labels(cache, labels), cache, rng
+
+
+def slot_labels(clustering):
+    """Per-point labels numbering the live slots 0..K-1 in slot order."""
+    labels = np.empty(clustering.n_points, dtype=np.int64)
+    for rank, slot in enumerate(clustering.live):
+        labels[clustering.clusters[slot]] = rank
+    return labels
+
+
+@SMALL
+@given(small_clusterings())
+def test_statistics_stay_consistent_through_any_merges(case):
+    clustering, cache, rng = case
+    while clustering.k > 1:
+        a, b = rng.choice(clustering.live, size=2, replace=False)
+        clustering.merge(int(a), int(b))
+        assert clustering.consistency_error(cache) < 1e-9
+
+
+@SMALL
+@given(small_clusterings())
+def test_labels_at_matches_an_in_place_merge_replay(case):
+    clustering, _, _ = case
+    run = run_merging(clustering)
+    work = clustering.copy()
+    for pair in run.merged_pairs:
+        np.testing.assert_array_equal(run.labels_at(work.k), slot_labels(work))
+        work.merge(*(int(work.live[rank]) for rank in pair))
+    assert work.k == 2
+    np.testing.assert_array_equal(run.labels_at(2), slot_labels(work))

@@ -1,25 +1,29 @@
 import numpy as np
 import pytest
 
+from anglemerge.engine import Clustering
 from anglemerge.errors import TooFewAnglesError
 from anglemerge.geometry import DataSet, compute_angles
-from anglemerge.stats import (
-    VAR_FLOOR,
-    PairStats,
-    between_stats,
-    bhattacharyya,
-    cluster_distance,
-    moments,
-    t_pair,
-    within_stats,
-)
+from anglemerge.stats import VAR_FLOOR, bhattacharyya, moments, t_pair
 
 from helpers import unit_sphere_points
 
 
 def moments_of(values):
-    stats = PairStats.from_values(values)
-    return moments(stats.total, stats.total_sq, stats.count)
+    values = np.asarray(values, dtype=np.float64)
+    return moments(values.sum(), np.square(values).sum(), values.size)
+
+
+def distance_of(within, between):
+    """Distance from the moments of a within-angle set to those of a cross set."""
+    return bhattacharyya(*moments_of(within), *moments_of(between))
+
+
+def circle_clustering(directions, labels):
+    """A clustering of unit vectors in the plane at the given directions, so
+    that every pairwise angle is a difference of directions."""
+    points = np.column_stack([np.cos(directions), np.sin(directions)])
+    return Clustering.from_labels(compute_angles(DataSet(points=points)), np.asarray(labels))
 
 
 class TestMoments:
@@ -33,20 +37,14 @@ class TestMoments:
         assert mean == pytest.approx(0.7)
         assert var == VAR_FLOOR
 
-    def test_single_angle_raises(self):
-        within = PairStats.from_values(np.array([0.4, 0.6]))
-        with pytest.raises(TooFewAnglesError):
-            cluster_distance(within, PairStats.from_values(np.array([0.5])))
-
     def test_elementwise_matches_scalar(self):
         # One call over arrays of statistics gives what per-element calls give.
         rng = np.random.default_rng(7)
         sets = [rng.uniform(0, np.pi, size) for size in (2, 5, 40)]
-        stats = [PairStats.from_values(v) for v in sets]
         mean, var = moments(
-            np.array([s.total for s in stats]),
-            np.array([s.total_sq for s in stats]),
-            np.array([float(s.count) for s in stats]),
+            np.array([v.sum() for v in sets]),
+            np.array([np.square(v).sum() for v in sets]),
+            np.array([float(v.size) for v in sets]),
         )
         for i, values in enumerate(sets):
             assert (mean[i], var[i]) == moments_of(values)
@@ -99,44 +97,44 @@ class TestTPair:
 
 class TestAngleSetStats:
     def test_within_three_point_cluster(self):
-        # Equilateral-ish construction with known pairwise angles 0.1, 0.2,
-        # 0.3 is awkward on a sphere; feed the known values directly.
-        stats = PairStats.from_values(np.array([0.1, 0.2, 0.3]))
-        assert stats.total == pytest.approx(0.6)
-        assert stats.total_sq == pytest.approx(0.14)
-        assert stats.count == 3
+        # Directions 0, 0.1 and 0.3 in the plane: pairwise angles 0.1, 0.2, 0.3.
+        clustering = circle_clustering(np.array([0.0, 0.1, 0.3]), [0, 0, 0])
+        assert clustering.sizes.tolist() == [3]
+        assert clustering.w_sum[0] == pytest.approx(0.6, abs=1e-12)
+        assert clustering.w_sumsq[0] == pytest.approx(0.14, abs=1e-12)
 
     def test_within_counts(self):
+        # Counts are implied by the sizes: a singleton has no within angle.
         rng = np.random.default_rng(2)
-        cache = compute_angles(DataSet(points=unit_sphere_points(rng, 12, 4)))
-        assert within_stats(np.array([3]), cache).count == 0
-        assert within_stats(np.array([0, 1, 2]), cache).count == 3
-        assert within_stats(np.array([0, 1, 2, 3]), cache).count == 6
+        cache = compute_angles(DataSet(points=unit_sphere_points(rng, 8, 4)))
+        clustering = Clustering.from_labels(cache, np.array([0, 1, 1, 1, 2, 2, 2, 2]))
+        assert clustering.sizes.tolist() == [1, 3, 4]
+        assert clustering.w_sum[0] == 0.0 and clustering.w_sumsq[0] == 0.0
+        for k, members in ((1, [1, 2, 3]), (2, [4, 5, 6, 7])):
+            values = cache.within_values(np.array(members))
+            assert values.size == len(members) * (len(members) - 1) // 2
+            assert clustering.w_sum[k] == pytest.approx(values.sum(), rel=1e-12)
+            assert clustering.w_sumsq[k] == pytest.approx(np.square(values).sum(), rel=1e-12)
 
     def test_between_counts_and_symmetry(self):
         rng = np.random.default_rng(3)
         cache = compute_angles(DataSet(points=unit_sphere_points(rng, 12, 4)))
-        ab = between_stats(np.array([0, 1]), np.array([2, 3, 4]), cache)
-        ba = between_stats(np.array([2, 3, 4]), np.array([0, 1]), cache)
-        assert ab.count == 6
-        assert ab == ba
+        labels = np.array([0, 0, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2])
+        clustering = Clustering.from_labels(cache, labels)
+        for name in ("b_sum", "b_sumsq"):
+            matrix = getattr(clustering, name)
+            assert np.array_equal(matrix, matrix.T)
+            assert not np.diagonal(matrix).any()
+        cross = cache.cross_values(np.array([0, 1]), np.array([2, 3, 4]))
+        assert cross.size == 6
+        assert clustering.b_sum[0, 1] == pytest.approx(cross.sum(), rel=1e-12)
+        assert clustering.b_sumsq[0, 1] == pytest.approx(np.square(cross).sum(), rel=1e-12)
 
     def test_between_single_points(self):
-        points = np.array([[1.0, 0.0], [np.cos(0.4), np.sin(0.4)], [0.0, 1.0]])
-        cache = compute_angles(DataSet(points=points))
-        stats = between_stats(np.array([0]), np.array([1]), cache)
-        assert stats.total == pytest.approx(0.4, abs=1e-12)
-        assert stats.total_sq == pytest.approx(0.16, abs=1e-12)
-        assert stats.count == 1
-
-    def test_additivity_is_exact(self):
-        rng = np.random.default_rng(4)
-        a = PairStats.from_values(rng.uniform(0, np.pi, 100))
-        b = PairStats.from_values(rng.uniform(0, np.pi, 50))
-        combined = a + b
-        assert combined.count == 150
-        assert combined.total == a.total + b.total
-        assert combined.total_sq == a.total_sq + b.total_sq
+        clustering = circle_clustering(np.array([0.0, 0.4, np.pi / 2]), [0, 1, 2])
+        assert clustering.b_sum[0, 1] == pytest.approx(0.4, abs=1e-12)
+        assert clustering.b_sumsq[0, 1] == pytest.approx(0.16, abs=1e-12)
+        assert clustering.w_sum.tolist() == [0.0, 0.0, 0.0]
 
 
 class TestClusterDistance:
@@ -148,9 +146,9 @@ class TestClusterDistance:
         rng = np.random.default_rng(5)
         values = []
         for _ in range(1000):
-            w = PairStats.from_values(rng.normal(np.pi / 2, 0.1, 200))
-            b = PairStats.from_values(rng.normal(np.pi / 2, 0.1, 200))
-            values.append(cluster_distance(w, b))
+            w = rng.normal(np.pi / 2, 0.1, 200)
+            b = rng.normal(np.pi / 2, 0.1, 200)
+            values.append(distance_of(w, b))
         assert np.quantile(values, 0.95) < 0.05
 
     def test_subspace_variance_ratio_value(self):
@@ -160,17 +158,11 @@ class TestClusterDistance:
         d = bhattacharyya(np.pi / 2, 1 / 98, np.pi / 2, 1 / 8)
         assert d == pytest.approx(0.31904370168845896, abs=1e-12)
 
-    def test_too_few_within_angles(self):
-        w = PairStats.from_values(np.array([0.5]))
-        b = PairStats.from_values(np.array([0.4, 0.6]))
-        with pytest.raises(TooFewAnglesError):
-            cluster_distance(w, b)
-
     def test_asymmetry_is_real(self):
         rng = np.random.default_rng(6)
-        w_k = PairStats.from_values(rng.normal(1.0, 0.05, 300))
-        w_l = PairStats.from_values(rng.normal(1.2, 0.30, 300))
-        b = PairStats.from_values(rng.normal(1.1, 0.10, 300))
-        d_kl = cluster_distance(w_k, b)
-        d_lk = cluster_distance(w_l, b)
+        w_k = rng.normal(1.0, 0.05, 300)
+        w_l = rng.normal(1.2, 0.30, 300)
+        b = rng.normal(1.1, 0.10, 300)
+        d_kl = distance_of(w_k, b)
+        d_lk = distance_of(w_l, b)
         assert d_kl != pytest.approx(d_lk, abs=1e-6)
