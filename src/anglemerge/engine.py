@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, TooFewAnglesError
-from .geometry import AngleCache
+from .geometry import AngleCache, integer_labels
 from .stats import bhattacharyya, moments, t_pair
 
 __all__ = [
@@ -44,44 +44,41 @@ __all__ = [
 
 
 class Clustering:
-    """A partition of point indices with additive angle statistics.
+    """A partition of the points into P fixed slots, with additive angle statistics.
 
-    Each of the P fixed slots holds an index set ``clusters[k]`` plus the
-    sufficient statistics of its within-angle set; slot pair (k, l) holds
-    those of the cross-angle set. Between-matrices are symmetric with zero
-    diagonal. Counts are implied: C(size_k, 2) within, size_k * size_l
-    between. A merge empties one slot (no indices, zero statistics) and
-    moves no other; ``k`` counts the non-empty slots, ``live`` lists them.
+    ``labels[i]`` is the slot of point i. Each slot holds the sufficient
+    statistics of its within-angle set; slot pair (k, l) holds those of the
+    cross-angle set. Between-matrices are symmetric with zero diagonal.
+    Counts are implied: C(size_k, 2) within, size_k * size_l between. A
+    merge relabels one slot's points, empties it and moves no other slot;
+    ``k`` counts the non-empty slots, ``live`` lists them.
     """
 
-    def __init__(self, clusters, w_sum, w_sumsq, b_sum, b_sumsq, n_points):
-        self.clusters = clusters
-        self.sizes = np.array([len(c) for c in clusters], dtype=np.int64)
+    def __init__(self, labels, w_sum, w_sumsq, b_sum, b_sumsq):
+        self.labels = labels
+        self.sizes = np.bincount(labels, minlength=w_sum.size)
         self.w_sum = w_sum
         self.w_sumsq = w_sumsq
         self.b_sum = b_sum
         self.b_sumsq = b_sumsq
-        self.n_points = n_points
 
     @classmethod
     def from_labels(cls, angles: AngleCache, labels: np.ndarray) -> "Clustering":
         """Build a clustering (and all its statistics) from per-point labels.
 
-        Labels are compacted to dense ids 0..K-1 in sorted-value order. This
-        is the only place the angle cache is read.
+        Labels must be finite integers; they are compacted to dense slots
+        0..K-1 in sorted-value order. This is the only place the angle cache
+        is read.
         """
-        labels = np.asarray(labels)
-        if labels.shape != (angles.n_points,):
-            raise DegenerateInputError("labels must have one entry per point")
-        values, assignment = np.unique(labels, return_inverse=True)
+        labels = integer_labels(labels, angles.n_points)
+        values, slots = np.unique(labels, return_inverse=True)
         k = values.size
-        b_sum, b_sumsq = angles.grouped_sums(assignment, k)
+        b_sum, b_sumsq = angles.grouped_sums(slots, k)
         w_sum = np.diagonal(b_sum).copy()
         w_sumsq = np.diagonal(b_sumsq).copy()
         np.fill_diagonal(b_sum, 0.0)
         np.fill_diagonal(b_sumsq, 0.0)
-        clusters = [np.where(assignment == i)[0] for i in range(k)]
-        return cls(clusters, w_sum, w_sumsq, b_sum, b_sumsq, angles.n_points)
+        return cls(slots, w_sum, w_sumsq, b_sum, b_sumsq)
 
     @property
     def k(self) -> int:
@@ -112,8 +109,7 @@ class Clustering:
             w[q] = 0.0
             b_mat[q, :] = b_mat[:, q] = 0.0
 
-        self.clusters[p] = np.concatenate([self.clusters[p], self.clusters[q]])
-        self.clusters[q] = self.clusters[q][:0]
+        self.labels[self.labels == q] = p
         self.sizes[p] += self.sizes[q]
         self.sizes[q] = 0
         return p
@@ -121,15 +117,11 @@ class Clustering:
     def consistency_error(self, angles: AngleCache) -> float:
         """Worst relative mismatch |stored - fresh| / max(|fresh|, 1) between
         the live slots' statistics and a from-scratch ``from_labels`` rebuild
-        of their index sets: one read of the angle cache. +inf when the index
-        sets and ``sizes`` do not describe the same partition of the points.
-        Used by oracle tests."""
+        of ``labels``: one read of the angle cache. +inf when ``labels`` and
+        ``sizes`` do not describe the same partition. Used by oracle tests."""
         live = self.live
-        labels = np.full(self.n_points, -1, dtype=np.int64)
-        for rank, slot in enumerate(live):
-            labels[self.clusters[slot]] = rank
-        fresh = Clustering.from_labels(angles, labels)
-        if (labels < 0).any() or not np.array_equal(fresh.sizes, self.sizes[live]):
+        fresh = Clustering.from_labels(angles, self.labels)
+        if not np.array_equal(fresh.sizes, self.sizes[live]):
             return np.inf
         block = np.ix_(live, live)
         stored = (self.w_sum[live], self.w_sumsq[live], self.b_sum[block], self.b_sumsq[block])
@@ -261,33 +253,31 @@ class MergeStep:
 
 @dataclass
 class MergeRun:
-    """Full merge history: per-K score records plus a replayable dendrogram."""
+    """Full merge history: per-K score records, whose pairs replay as a
+    dendrogram from ``initial_labels`` (each point's initial rank 0..P-1)."""
 
     steps: list[MergeStep]
-    initial_clusters: list[np.ndarray]
-    merged_pairs: list[tuple[int, int]]
-    n_points: int
+    initial_labels: np.ndarray
 
     @property
     def initial_k(self) -> int:
-        return len(self.initial_clusters)
+        return self.steps[0].k
 
     def labels_at(self, k: int) -> np.ndarray:
         """Per-point labels of the clustering with k clusters, by replaying
         the first initial_k - k merges."""
         if k == 1:
-            return np.zeros(self.n_points, dtype=np.int64)
+            return np.zeros_like(self.initial_labels)
         if not 2 <= k <= self.initial_k:
             raise DegenerateInputError(f"k must be in [2, {self.initial_k}] or 1, got {k}")
-        clusters = [c for c in self.initial_clusters]
-        for a, b in self.merged_pairs[: self.initial_k - k]:
-            p, q = (a, b) if a < b else (b, a)
-            clusters[p] = np.concatenate([clusters[p], clusters[q]])
-            del clusters[q]
-        labels = np.empty(self.n_points, dtype=np.int64)
-        for i, members in enumerate(clusters):
-            labels[members] = i
-        return labels
+        groups = [[i] for i in range(self.initial_k)]
+        for step in self.steps[: self.initial_k - k]:
+            p, q = sorted(step.pair)
+            groups[p] += groups.pop(q)
+        ids = np.empty(self.initial_k, dtype=np.int64)
+        for label, members in enumerate(groups):
+            ids[members] = label
+        return ids[self.initial_labels]
 
 
 def run_merging(initial: Clustering) -> MergeRun:
@@ -303,8 +293,8 @@ def run_merging(initial: Clustering) -> MergeRun:
         raise DegenerateInputError("merging needs at least 2 initial clusters")
     work = initial.copy()
     d = distance_matrix(work)
+    initial_labels = (np.cumsum(initial.sizes > 0) - 1)[initial.labels]
     steps: list[MergeStep] = []
-    merged: list[tuple[int, int]] = []
     while True:
         scores = compute_scores(work, d)
         i_star, j_star = scores.pair
@@ -325,15 +315,9 @@ def run_merging(initial: Clustering) -> MergeRun:
         )
         if live.size == 2:
             break
-        merged.append(pair)
         kept = work.merge(i_star, j_star)
         _refresh_distance(d, work, kept, max(i_star, j_star))
-    return MergeRun(
-        steps=steps,
-        initial_clusters=[initial.clusters[s].copy() for s in initial.live],
-        merged_pairs=merged,
-        n_points=initial.n_points,
-    )
+    return MergeRun(steps=steps, initial_labels=initial_labels)
 
 
 @dataclass
@@ -354,9 +338,7 @@ def select_clustering(run: MergeRun) -> SelectionResult:
         raise DegenerateInputError("empty merge trace")
     crossings = [s.k for s in run.steps if s.gamma > s.zeta]
     if not crossings:
-        return SelectionResult(
-            l_hat=1, labels=np.zeros(run.n_points, dtype=np.int64), crossed=False
-        )
+        return SelectionResult(l_hat=1, labels=run.labels_at(1), crossed=False)
     l_hat = max(crossings)
     return SelectionResult(l_hat=l_hat, labels=run.labels_at(l_hat), crossed=True)
 

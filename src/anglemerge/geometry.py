@@ -11,6 +11,7 @@ partition through a sparse one-hot matrix.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,19 +49,7 @@ class DataSet:
         if bad.size:
             raise DegenerateInputError(f"row {bad[0]} has a NaN or infinite coordinate")
         if self.labels is not None:
-            labels = np.asarray(self.labels)
-            if labels.shape != (n_points,):
-                raise DegenerateInputError(
-                    f"labels shape {labels.shape} does not match {n_points} points"
-                )
-            if labels.dtype.kind not in "iub":
-                value = labels.astype(np.float64)
-                bad = np.flatnonzero(~(np.abs(value) < 2.0**63) | (value != np.trunc(value)))
-                if bad.size:
-                    raise DegenerateInputError(
-                        f"row {bad[0]} has a non-integer label {labels[bad[0]]}"
-                    )
-            self.labels = labels.astype(np.int64)
+            self.labels = integer_labels(self.labels, n_points)
 
     @property
     def n_points(self) -> int:
@@ -69,6 +58,21 @@ class DataSet:
     @property
     def ambient_dim(self) -> int:
         return self.points.shape[1]
+
+
+def integer_labels(labels, n_points: int) -> np.ndarray:
+    """Per-point labels as int64, one entry per point. Raises
+    DegenerateInputError for a wrong shape or for a label that is not a
+    finite integer value in int64 range; integer-valued floats are cast."""
+    labels = np.asarray(labels)
+    if labels.shape != (n_points,):
+        raise DegenerateInputError(f"labels shape {labels.shape} does not match {n_points} points")
+    if labels.dtype.kind not in "iub":
+        value = labels.astype(np.float64)
+        bad = np.flatnonzero(~(np.abs(value) < 2.0**63) | (value != np.trunc(value)))
+        if bad.size:
+            raise DegenerateInputError(f"row {bad[0]} has a non-integer label {labels[bad[0]]}")
+    return labels.astype(np.int64)
 
 
 def normalize_rows(data: DataSet) -> DataSet:
@@ -224,16 +228,26 @@ def compute_angles(data: DataSet) -> AngleCache:
     return AngleCache(theta)
 
 
+def read_numbers(path, what: str, **options) -> np.ndarray:
+    """``np.loadtxt(path, **options)``, where unparsable text or a file with
+    no data raises DegenerateInputError naming ``what``."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt warns on no data
+            return np.loadtxt(path, **options)
+    except UserWarning as err:
+        raise DegenerateInputError(f"{what} {path} has no data") from err
+    except ValueError as err:
+        raise DegenerateInputError(f"cannot parse {what} {path}: {err}") from err
+
+
 def load_points_csv(path, labeled: bool = False) -> DataSet:
     """Read a dataset from CSV: one point per row, comma-separated reals.
 
     With ``labeled=True`` the final column is the ground-truth label, which
     ``DataSet`` checks to be an integer.
     """
-    try:
-        raw = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as err:
-        raise DegenerateInputError(f"cannot parse points CSV {path}: {err}") from err
+    raw = read_numbers(path, "points CSV", delimiter=",", ndmin=2)
     if labeled:
         if raw.shape[1] < 3:
             raise DegenerateInputError("labeled CSV needs >= 2 feature columns plus a label")

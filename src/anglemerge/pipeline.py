@@ -79,7 +79,7 @@ def cluster_dataset(
     if initial_labels is None:
         clustering = initial_clustering(angles, seed)
     else:
-        clustering = Clustering.from_labels(angles, np.asarray(initial_labels))
+        clustering = Clustering.from_labels(angles, initial_labels)
     initial_k = clustering.k
     if initial_k < 2:
         selection = SelectionResult(

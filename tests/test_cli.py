@@ -293,6 +293,24 @@ class TestErrorPaths:
         assert run_cli(*argv) == EXIT_ERROR
         assert_one_line_error(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("empty", ["--input", "--init-labels", "--truth"])
+    def test_empty_file_is_one_error_line(self, subspace_csv, tmp_path, empty):
+        # A fresh interpreter, so that a warning numpy prints reaches stderr.
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        out = str(tmp_path / "run")
+        argv = {
+            "--input": ["cluster", "--input", str(path), "--out", out],
+            "--init-labels": ["cluster", "--input", str(subspace_csv), "--labeled",
+                              "--init-labels", str(path), "--out", out],
+            "--truth": ["eval", "--truth", str(path), "--pred", str(path)],
+        }[empty]
+        result = subprocess.run([sys.executable, "-m", "anglemerge.cli", *argv],
+                                capture_output=True, text=True)
+        assert result.returncode == EXIT_ERROR
+        assert_one_line_error(result.stderr)
+        assert "has no data" in result.stderr
+
     @pytest.mark.parametrize(
         "argv",
         [["bounds", "--t-list", "abc"],

@@ -25,6 +25,11 @@ def make_cache(points):
     return compute_angles(normalize_rows(DataSet(points=np.asarray(points, dtype=float))))
 
 
+def slot_members(clustering):
+    """The point sets of the live slots, in slot order."""
+    return [np.flatnonzero(clustering.labels == slot) for slot in clustering.live]
+
+
 def two_bundle_points():
     """Three near-duplicates of e1 and three of e2 in R^10."""
     dim = 10
@@ -61,14 +66,14 @@ class TestInitialClustering:
         # produce the two pure triples.
         for seed in range(5):
             clustering = initial_clustering(cache, seed)
-            groups = {frozenset(c.tolist()) for c in clustering.clusters}
+            groups = {frozenset(c.tolist()) for c in slot_members(clustering)}
             assert groups == {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
 
     def test_three_points_single_cluster(self):
         cache = make_cache(np.array([[1.0, 0.2], [0.5, 1.0], [1.0, 1.0]]))
         clustering = initial_clustering(cache, seed=0)
         assert clustering.k == 1
-        assert sorted(clustering.clusters[0].tolist()) == [0, 1, 2]
+        assert clustering.labels.tolist() == [0, 0, 0]
 
     def test_collinear_points_valid_partition(self):
         # All points on one line: every acute angle is ~0, any partition is
@@ -78,28 +83,27 @@ class TestInitialClustering:
         points[4:] *= -1.0  # antipodal points still have acute angle 0
         cache = make_cache(points)
         clustering = initial_clustering(cache, seed=1)
-        sizes = [len(c) for c in clustering.clusters]
-        assert min(sizes) >= 3
-        assert sum(sizes) == 9
-        assert sorted(np.concatenate(clustering.clusters).tolist()) == list(range(9))
+        assert clustering.labels.shape == (9,)
+        sizes = np.bincount(clustering.labels)
+        assert sizes.min() >= 3
+        assert sizes.tolist() == clustering.sizes.tolist()
 
     def test_partition_and_min_size_on_random_data(self):
         rng = np.random.default_rng(0)
         cache = make_cache(unit_sphere_points(rng, 97, 12))
         for seed in (0, 1, 2):
             clustering = initial_clustering(cache, seed)
-            sizes = np.array([len(c) for c in clustering.clusters])
+            assert clustering.labels.shape == (97,)
+            sizes = np.bincount(clustering.labels)
             assert sizes.min() >= 3
-            assert sizes.sum() == 97
-            all_points = np.concatenate(clustering.clusters)
-            assert sorted(all_points.tolist()) == list(range(97))
+            assert sizes.tolist() == clustering.sizes.tolist()
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(1)
         cache = make_cache(unit_sphere_points(rng, 60, 8))
         a = initial_clustering(cache, seed=7)
         b = initial_clustering(cache, seed=7)
-        assert [c.tolist() for c in a.clusters] == [c.tolist() for c in b.clusters]
+        np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_allies_do_not_view_the_sort_order(self):
         # A view of a block's partial sort would keep that block alive
@@ -222,8 +226,8 @@ class TestMergeStep:
         assert clustering.b_sum is b_sum
         others = [0, 2, 3, 5]
         block = np.ix_(others, others)
-        for k in others:
-            np.testing.assert_array_equal(clustering.clusters[k], before.clusters[k])
+        relabelled = np.where(before.labels == 4, 1, before.labels)
+        np.testing.assert_array_equal(clustering.labels, relabelled)
         for name in ("w_sum", "w_sumsq"):
             np.testing.assert_array_equal(getattr(clustering, name)[others],
                                           getattr(before, name)[others])
@@ -234,7 +238,6 @@ class TestMergeStep:
             np.testing.assert_array_equal(now[:, 1], now[1, :])
             assert not now[4].any() and not now[:, 4].any() and now[1, 1] == 0.0
         assert clustering.w_sum[4] == 0.0 and clustering.w_sumsq[4] == 0.0
-        assert clustering.clusters[4].size == 0
         assert clustering.sizes.tolist() == [6, 12, 6, 6, 0, 6]
         assert clustering.k == 5
         assert clustering.live.tolist() == [0, 1, 2, 3, 5]
@@ -255,7 +258,7 @@ class TestMergeStep:
             merge_step(clustering, (0, clustering.k - 1))
             sizes = clustering.sizes
             assert sizes.sum() == 40
-            assert sizes.tolist() == [len(c) for c in clustering.clusters]
+            assert sizes.tolist() == np.bincount(clustering.labels, minlength=10).tolist()
             assert clustering.consistency_error(cache) < 1e-9
 
     def test_consistency_oracle_reads_the_cache_once(self):
@@ -274,28 +277,21 @@ class TestMergeStep:
 
     def test_consistency_oracle_catches_a_moved_point(self):
         clustering, cache = self.six_slots(), self.six_slots_cache()
-        clusters = clustering.clusters
-        clusters[3] = np.append(clusters[3], clusters[0][0])
-        clusters[0] = clusters[0][1:]
+        clustering.labels[np.flatnonzero(clustering.labels == 0)[0]] = 3
         assert clustering.consistency_error(cache) == np.inf
         clustering.sizes[[0, 3]] = [5, 7]  # sizes follow, the statistics do not
         assert 1e-9 < clustering.consistency_error(cache) < np.inf
 
-    @pytest.mark.parametrize("fault", ["stale size", "point in two slots", "point in no slot",
-                                       "slot copies another"])
+    @pytest.mark.parametrize("fault", ["stale size", "point labelled with an empty slot"])
     def test_consistency_oracle_rejects_a_broken_partition(self, fault):
         clustering, cache = self.six_slots(), self.six_slots_cache()
         if fault == "stale size":
             clustering.sizes[2] += 1
-        elif fault == "point in two slots":
-            clustering.clusters[1] = np.append(clustering.clusters[1], clustering.clusters[4][0])
-            clustering.sizes[1] += 1
-        elif fault == "point in no slot":
-            clustering.clusters[5] = clustering.clusters[5][1:]
-            clustering.sizes[5] -= 1
         else:
-            # Slot 1's points end in no slot, yet the rebuilt sizes still match.
-            clustering.clusters[1] = clustering.clusters[4].copy()
+            # The live slots' sizes match their labels; only the empty slot 4 gains a point.
+            clustering.merge(1, 4)
+            clustering.labels[np.flatnonzero(clustering.labels == 1)[0]] = 4
+            clustering.sizes[1] -= 1
         assert clustering.consistency_error(cache) == np.inf
 
     def test_rejects_self_merge(self):
@@ -331,7 +327,8 @@ class TestRunMerging:
         run = run_merging(clustering)
         assert len(run.steps) == 1
         assert run.steps[0].k == 2
-        assert run.merged_pairs == []
+        assert run.initial_k == 2
+        np.testing.assert_array_equal(run.labels_at(2), [0, 0, 0, 1, 1, 1])
 
     def test_trace_shape_and_thresholds(self):
         rng = np.random.default_rng(6)
@@ -351,20 +348,19 @@ class TestRunMerging:
         clustering = initial_clustering(cache, seed=0)
         run = run_merging(clustering)
         # Replay sizes alongside the recorded trace.
-        sizes = [len(c) for c in run.initial_clusters]
-        for step, pair in zip(run.steps, run.merged_pairs + [run.steps[-1].pair]):
+        sizes = np.bincount(run.initial_labels).tolist()
+        for step in run.steps:
             i_star, j_star = step.pair
             assert step.t == t_pair(sizes[i_star], sizes[j_star])
-            p, q = min(pair), max(pair)
-            sizes[p] += sizes[q]
-            del sizes[q]
+            p, q = sorted(step.pair)
+            sizes[p] += sizes.pop(q)
 
     def test_input_not_mutated(self):
         cache = make_cache(two_bundle_points())
         clustering = Clustering.from_labels(cache, np.array([0, 0, 0, 1, 1, 1]))
-        before = [c.tolist() for c in clustering.clusters]
+        before = clustering.labels.copy()
         run_merging(clustering)
-        assert [c.tolist() for c in clustering.clusters] == before
+        np.testing.assert_array_equal(clustering.labels, before)
         assert clustering.k == 2
 
     def test_deterministic_trace(self):
@@ -377,7 +373,7 @@ class TestRunMerging:
             assert sa.gamma == sb.gamma and sa.zeta == sb.zeta
             np.testing.assert_array_equal(sa.eta, sb.eta)
             np.testing.assert_array_equal(sa.partners, sb.partners)
-        assert a.merged_pairs == b.merged_pairs
+        np.testing.assert_array_equal(a.initial_labels, b.initial_labels)
 
     def test_crossing_pattern_on_six_subspaces(self):
         data, cache = fig_trace_scenario()
@@ -463,14 +459,12 @@ class TestRunMerging:
         assert run.initial_k == run.steps[0].k == 7
         labels = run.labels_at(7)
         for rank, slot in enumerate(clustering.live):
-            assert np.flatnonzero(labels == rank).tolist() == sorted(clustering.clusters[slot])
+            np.testing.assert_array_equal(labels == rank, clustering.labels == slot)
 
 
-def synthetic_run(gammas, zetas, n_points=15, groups=5):
-    """Hand-built MergeRun with the given per-K scores (K = groups..2)."""
-    initial = [np.arange(3 * i, 3 * i + 3) for i in range(groups)]
+def synthetic_run(gammas, zetas, groups=5):
+    """Hand-built MergeRun of 3 points per group with the given per-K scores (K = groups..2)."""
     steps = []
-    merged = []
     k = groups
     for idx, (g, z) in enumerate(zip(gammas, zetas)):
         steps.append(
@@ -479,12 +473,8 @@ def synthetic_run(gammas, zetas, n_points=15, groups=5):
                 eta=np.array([g]), partners=np.array([1]),
             )
         )
-        if k > 2:
-            merged.append((0, 1))
         k -= 1
-    return MergeRun(
-        steps=steps, initial_clusters=initial, merged_pairs=merged, n_points=n_points
-    )
+    return MergeRun(steps=steps, initial_labels=np.repeat(np.arange(groups), 3))
 
 
 class TestSelectClustering:
@@ -514,7 +504,7 @@ class TestSelectClustering:
             assert np.unique(truth).size == 1
 
     def test_empty_trace_rejected(self):
-        run = MergeRun(steps=[], initial_clusters=[], merged_pairs=[], n_points=5)
+        run = MergeRun(steps=[], initial_labels=np.zeros(5, dtype=np.int64))
         with pytest.raises(DegenerateInputError):
             select_clustering(run)
 

@@ -269,3 +269,10 @@ class TestCsv:
         loaded = load_points_csv(path)
         np.testing.assert_allclose(loaded.points, data.points, rtol=1e-15)
         assert loaded.labels is None
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# a comment only\n"])
+    def test_file_with_no_data_is_a_typed_error(self, tmp_path, text):
+        path = tmp_path / "points.csv"
+        path.write_text(text)
+        with pytest.raises(DegenerateInputError, match="has no data"):
+            load_points_csv(path)

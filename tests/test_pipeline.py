@@ -48,6 +48,32 @@ class TestClusterDataset:
         run = cluster_dataset(data, seed=0, initial_labels=init)
         assert run.initial_k == 24
 
+    @pytest.mark.parametrize("bad", ["nan", "fractional", "inf", "-inf"])
+    def test_non_integer_initial_labels_are_rejected(self, bad):
+        data = gen_subspace_normal(SubspaceSpec(n=30, r=3, L=2, N=60, seed=0))
+        init = {
+            "nan": np.full(60, np.nan),
+            "fractional": np.arange(60) % 4 + 0.5,
+            "inf": np.where(np.arange(60) == 9, np.inf, np.arange(60) % 4),
+            "-inf": np.where(np.arange(60) == 9, -np.inf, np.arange(60) % 4),
+        }[bad]
+        with pytest.raises(DegenerateInputError, match="non-integer label"):
+            cluster_dataset(data, seed=0, initial_labels=init)
+
+    def test_integer_valued_float_initial_labels_match_int_labels(self):
+        data = gen_subspace_normal(SubspaceSpec(n=60, r=6, L=3, N=150, seed=0))
+        init = 3 * data.labels + np.arange(150) % 3  # three pure groups per subspace
+        expected = cluster_dataset(data, seed=0, initial_labels=init)
+        run = cluster_dataset(data, seed=0, initial_labels=init.astype(np.float64))
+        assert expected.selection.crossed and expected.selection.l_hat == 3
+        assert (run.selection.l_hat, run.selection.crossed) == (3, True)
+        np.testing.assert_array_equal(run.labels, expected.labels)
+        for got, want in zip(run.merge_run.steps, expected.merge_run.steps):
+            assert (got.k, got.gamma, got.zeta, got.t, got.pair) == (
+                want.k, want.gamma, want.zeta, want.t, want.pair)
+            np.testing.assert_array_equal(got.eta, want.eta)
+            np.testing.assert_array_equal(got.partners, want.partners)
+
     def test_selected_pair_sets_have_expected_sizes(self):
         data = gen_subspace_normal(SubspaceSpec(n=80, r=8, L=3, N=240, seed=2))
         run = cluster_dataset(data, seed=0)

@@ -87,14 +87,6 @@ def small_clusterings(draw):
     return Clustering.from_labels(cache, labels), cache, rng
 
 
-def slot_labels(clustering):
-    """Per-point labels numbering the live slots 0..K-1 in slot order."""
-    labels = np.empty(clustering.n_points, dtype=np.int64)
-    for rank, slot in enumerate(clustering.live):
-        labels[clustering.clusters[slot]] = rank
-    return labels
-
-
 @SMALL
 @given(small_clusterings())
 def test_statistics_stay_consistent_through_any_merges(case):
@@ -111,8 +103,10 @@ def test_labels_at_matches_an_in_place_merge_replay(case):
     clustering, _, _ = case
     run = run_merging(clustering)
     work = clustering.copy()
-    for pair in run.merged_pairs:
-        np.testing.assert_array_equal(run.labels_at(work.k), slot_labels(work))
-        work.merge(*(int(work.live[rank]) for rank in pair))
+    for step in run.steps:
+        # The live slots' ranks in slot order, found independently of labels_at.
+        ranks = np.unique(work.labels, return_inverse=True)[1]
+        np.testing.assert_array_equal(run.labels_at(work.k), ranks)
+        if work.k > 2:
+            work.merge(*(int(work.live[rank]) for rank in step.pair))
     assert work.k == 2
-    np.testing.assert_array_equal(run.labels_at(2), slot_labels(work))
