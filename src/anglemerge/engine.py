@@ -10,10 +10,15 @@ their cross-angle set into within-angle mass, so
     between_new,k = between_a,k + between_b,k   for every other k
 
 with no angle ever re-read. Clusters keep their P initial slots, so a
-merge costs O(P) for the statistics and distance refresh plus one O(P^2)
-argmin scan, with no per-merge copies. Seeding costs O(N^2): a row-blocked
-partial sort finds each point's two allies, and the initial statistics are
-sparse one-hot products over the angle matrix.
+merge costs O(P) for the statistics and distance refresh, with no
+per-merge copies. The merge loop caches each slot's row minimum and its
+partner (the nearest-neighbour caching of Muellner's generic algorithm,
+arXiv:1109.2378), so a merge also rescans, at O(P) each, only the merged
+row and the rows whose partner was one of the merged pair: merging is
+O(P^2) overall when few rows lose their partner per merge, and O(P^3) in
+the worst case. Seeding costs O(N^2): a row-blocked partial sort finds
+each point's two allies, and the initial statistics are sparse one-hot
+products over the angle matrix.
 """
 
 from __future__ import annotations
@@ -214,11 +219,45 @@ def compute_scores(clustering: Clustering, d: np.ndarray | None = None) -> Score
         d = distance_matrix(clustering)
     else:
         _check_mergeable(clustering)
-    partners = np.argmin(d, axis=1)
-    eta = d[np.arange(d.shape[0]), partners]
+    eta, partners = _row_minima(d)
+    return _score_set(eta, partners)
+
+
+def _row_minima(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's minimum and the first column attaining it."""
+    partners = np.argmin(rows, axis=1)
+    return rows[np.arange(rows.shape[0]), partners], partners
+
+
+def _score_set(eta: np.ndarray, partners: np.ndarray) -> ScoreSet:
     i_star = int(np.argmin(eta))
     j_star = int(partners[i_star])
     return ScoreSet(eta=eta, partners=partners, gamma=float(eta[i_star]), pair=(i_star, j_star))
+
+
+def _update_minima(d: np.ndarray, eta: np.ndarray, partners: np.ndarray,
+                   live: np.ndarray, kept: int, emptied: int) -> None:
+    """Bring the cached row minima up to date after ``_refresh_distance``
+    merged slot ``emptied`` into slot ``kept``; ``live`` masks the live slots.
+
+    Only column ``kept`` changed in the rows other than ``kept``, and column
+    ``emptied`` became +inf. Row ``kept`` and every live row whose partner
+    was ``kept`` or ``emptied`` are rescanned in full. Every other row takes
+    ``kept`` when its new distance is smaller than the cached minimum, or
+    equal with ``kept`` the smaller column, as argmin's first-occurrence
+    rule would. Every live row then equals ``_row_minima(d)`` bitwise, and
+    slot ``emptied`` scores +inf; empty slots keep +inf with stale partners.
+    """
+    rescan = (partners == kept) | (partners == emptied)
+    rescan &= live
+    rescan[kept] = True
+    column = d[:, kept]
+    take = (column < eta) | ((column == eta) & (kept < partners))
+    eta[take] = column[take]
+    partners[take] = kept
+    rows = np.flatnonzero(rescan)
+    eta[rows], partners[rows] = _row_minima(d[rows])
+    eta[emptied] = np.inf
 
 
 def merge_step(clustering: Clustering, pair: tuple[int, int]) -> Clustering:
@@ -288,15 +327,21 @@ def run_merging(initial: Clustering) -> MergeRun:
     t_K = min(floor(size_i*/2), size_j*)), and the pair is merged. The
     loop ends after recording K = 2. The input clustering is not modified.
     Records number the K live slots 0..K-1 in slot order, as labels_at does.
+
+    The scores equal ``compute_scores`` on the current distance matrix at
+    every K, bitwise, but the row minima are cached across merges: a merge
+    rescans only the rows ``_update_minima`` names, so the loop costs O(P^2)
+    overall when few rows lose their partner per merge, O(P^3) at worst.
     """
     if initial.k < 2:
         raise DegenerateInputError("merging needs at least 2 initial clusters")
     work = initial.copy()
     d = distance_matrix(work)
+    eta, partners = _row_minima(d)
     initial_labels = (np.cumsum(initial.sizes > 0) - 1)[initial.labels]
     steps: list[MergeStep] = []
     while True:
-        scores = compute_scores(work, d)
+        scores = _score_set(eta, partners)
         i_star, j_star = scores.pair
         live = work.live
         rank = np.cumsum(work.sizes > 0) - 1
@@ -316,7 +361,9 @@ def run_merging(initial: Clustering) -> MergeRun:
         if live.size == 2:
             break
         kept = work.merge(i_star, j_star)
-        _refresh_distance(d, work, kept, max(i_star, j_star))
+        emptied = max(i_star, j_star)
+        _refresh_distance(d, work, kept, emptied)
+        _update_minima(d, eta, partners, work.sizes > 0, kept, emptied)
     return MergeRun(steps=steps, initial_labels=initial_labels)
 
 

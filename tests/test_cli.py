@@ -96,6 +96,25 @@ class TestSynthAndCluster:
         assert report["l_hat"] == 4
         assert report["ce"] == 0.0
 
+    def test_float_init_labels_give_the_integer_trace(self, subspace_csv, tmp_path):
+        truth = np.loadtxt(subspace_csv, delimiter=",")[:, -1].astype(int)
+        init = 2 * truth + np.arange(truth.size) % 2
+        outs = []
+        for name, fmt in (("int", "%d"), ("float", "%.1f")):
+            init_path = tmp_path / f"{name}.csv"
+            np.savetxt(init_path, init, fmt=fmt)
+            out = tmp_path / name
+            code = run_cli(
+                "cluster", "--input", str(subspace_csv), "--labeled",
+                "--init-labels", str(init_path), "--out", str(out),
+            )
+            assert code == EXIT_OK
+            report = json.loads((out / "report.json").read_text())
+            report.pop("elapsed_ms")
+            outs.append((json.dumps(report), (out / "labels.csv").read_text()))
+        assert "2.0" in (tmp_path / "float.csv").read_text().split()
+        assert outs[0] == outs[1]
+
     def test_deterministic_outputs(self, subspace_csv, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -127,6 +146,22 @@ class TestEvalRoundTrip:
         scored = json.loads(capsys.readouterr().out)
         assert scored["ce"] == pytest.approx(report["ce"], abs=1e-12)
         assert scored["nmi"] == pytest.approx(report["nmi"], abs=1e-12)
+
+
+    def test_eval_reads_float_labels_and_large_integers_exactly(self, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("0\n0\n1\n1\n2\n2\n")
+        results = []
+        # Integer-valued floats read as integers; integer literals above
+        # 2**53 stay distinct, though a float cannot tell them apart.
+        for truth_text in ("0\n0\n1\n1\n2\n2\n", "0.0\n0.0\n1.0\n1.0\n2.0\n2.0\n",
+                           "7\n7\n9007199254740992\n9007199254740992\n"
+                           "9007199254740993\n9007199254740993\n"):
+            truth = tmp_path / "truth.csv"
+            truth.write_text(truth_text)
+            assert run_cli("eval", "--truth", str(truth), "--pred", str(pred)) == EXIT_OK
+            results.append(json.loads(capsys.readouterr().out))
+        assert results == [{"ce": 0.0, "nmi": 1.0}] * 3
 
 
 class TestBench:
@@ -291,6 +326,14 @@ class TestErrorPaths:
         else:
             argv = ["eval", "--truth", str(labels), "--pred", str(labels)]
         assert run_cli(*argv) == EXIT_ERROR
+        assert_one_line_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("label", ["nan", "9007199254740993.0"], ids=["nan", "above-2**53"])
+    def test_unreadable_float_label_is_one_error_line(self, tmp_path, capsys, label):
+        # A float literal at or above 2**53 could round onto another label.
+        labels = tmp_path / "labels.csv"
+        labels.write_text(f"0\n{label}\n1\n")
+        assert run_cli("eval", "--truth", str(labels), "--pred", str(labels)) == EXIT_ERROR
         assert_one_line_error(capsys.readouterr().err)
 
     @pytest.mark.parametrize("empty", ["--input", "--init-labels", "--truth"])

@@ -1,12 +1,23 @@
 """Property tests: the O(N^2) seeding passes against brute-force oracles,
-and the merge engine's statistics and replay against from-scratch rebuilds."""
+the merge engine's statistics, replay and cached scores against
+from-scratch rebuilds, and the pipeline's typed-error and determinism
+contract on arbitrary finite inputs."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from anglemerge.engine import Clustering, run_merging
+from anglemerge.engine import (
+    Clustering,
+    _refresh_distance,
+    compute_scores,
+    distance_matrix,
+    initial_clustering,
+    run_merging,
+)
+from anglemerge.errors import AngleMergeError
 from anglemerge.geometry import DataSet, compute_angles, normalize_rows
+from anglemerge.pipeline import cluster_dataset
 from helpers import acute_matrix, angle_oracle, unit_sphere_points
 
 SMALL = settings(max_examples=60, deadline=None)
@@ -110,3 +121,129 @@ def test_labels_at_matches_an_in_place_merge_replay(case):
         if work.k > 2:
             work.merge(*(int(work.live[rank]) for rank in step.pair))
     assert work.k == 2
+
+
+def grid_cache(groups):
+    points = np.array([point for group in groups for point in group], dtype=np.float64)
+    return compute_angles(normalize_rows(DataSet(points=points)))
+
+
+def group_clustering(groups):
+    """The clustering whose slots are the given groups of grid rows."""
+    sizes = [len(group) for group in groups]
+    return Clustering.from_labels(grid_cache(groups), np.repeat(np.arange(len(groups)), sizes))
+
+
+# Slots 4 and 5 copy slots 0 and 1. The first merge folds slot 4 into slot
+# 1 and the second folds slot 5 into slot 0, so slots 0 and 1 then hold
+# copies of the same points. Slot 3, whose cached partner was slot 1, must
+# move to slot 0 at an equal distance, as argmin would.
+SMALLER_SLOT_TIE = [
+    [[0, 0, 1], [0, -1, -1], [0, 1, -1], [1, 0, 1]],
+    [[0, 1, 0], [0, 1, -2], [1, -1, -1]],
+    [[0, 0, 1], [0, 0, 1], [0, 0, 1]],
+    [[0, 0, 1], [0, -1, -1], [-1, 1, 2]],
+    [[0, 0, 1], [0, -1, -1], [0, 1, -1], [1, 0, 1]],
+    [[0, 1, 0], [0, 1, -2], [1, -1, -1]],
+]
+
+
+@st.composite
+def tied_clusterings(draw):
+    """Clusterings whose distance matrices tie exactly.
+
+    Points are small-integer grid rows, so many angles coincide, and the
+    groups are followed by copies of some of them in shuffled slot order.
+    A copy scores exactly like its original, so the same union of groups
+    can form twice, the second time in a smaller slot. The slots are either
+    the groups or the ally seeding of the points.
+    """
+    dim = draw(st.integers(2, 4))
+    row = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any)
+    groups = draw(st.lists(st.lists(row, min_size=3, max_size=5), min_size=2, max_size=6))
+    copies = draw(st.permutations(range(len(groups))))[: draw(st.integers(0, len(groups)))]
+    groups += [groups[i] for i in copies]
+    if draw(st.booleans()):
+        return initial_clustering(grid_cache(groups), seed=draw(st.integers(0, 2**32 - 1)))
+    return group_clustering(groups)
+
+
+@SMALL
+@given(st.one_of(tied_clusterings(), small_clusterings().map(lambda case: case[0])))
+@example(group_clustering(SMALLER_SLOT_TIE))
+def test_cached_scores_equal_one_shot_scores_at_every_k(clustering):
+    # Replay the loop with a full compute_scores scan at every K; the cached
+    # row minima of run_merging must give the same records bit for bit.
+    assume(clustering.k >= 2)
+    run = run_merging(clustering)
+    work = clustering.copy()
+    d = distance_matrix(work)
+    for step in run.steps:
+        scores = compute_scores(work, d)
+        live = work.live
+        rank = np.cumsum(work.sizes > 0) - 1
+        assert step.k == live.size
+        assert np.array_equal(step.gamma, scores.gamma)
+        assert step.pair == tuple(int(rank[slot]) for slot in scores.pair)
+        assert np.array_equal(step.eta, scores.eta[live])
+        assert np.array_equal(step.partners, rank[scores.partners[live]])
+        if work.k > 2:
+            kept = work.merge(*scores.pair)
+            _refresh_distance(d, work, kept, max(scores.pair))
+    assert work.k == 2
+
+
+@st.composite
+def finite_inputs(draw):
+    """Any finite points (3 to 40 of them, in 2 to 5 dimensions, at scale
+    1 or 10^+-150), a seed, and sometimes random initial labels."""
+    n_points, dim = draw(st.integers(3, 40)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gaussian", "grid", "identical", "half-duplicated",
+                                 "half-antipodal"]))
+    if kind == "grid":
+        points = rng.integers(-2, 3, size=(n_points, dim)).astype(np.float64)
+    elif kind == "identical":
+        points = np.tile(rng.standard_normal(dim), (n_points, 1))
+    else:
+        points = rng.standard_normal((n_points, dim))
+        half = n_points // 2
+        if kind == "half-duplicated":
+            points[half:2 * half] = points[:half]
+        elif kind == "half-antipodal":
+            points[half:2 * half] = -points[:half]
+    points *= 10.0 ** draw(st.sampled_from([0, 150, -150]))
+    labels = None
+    if draw(st.booleans()):
+        labels = rng.integers(0, draw(st.integers(1, 6)), size=n_points)
+    return points, labels, draw(st.integers(0, 2**32 - 1))
+
+
+def cluster_or_error(points, labels, seed):
+    try:
+        return cluster_dataset(DataSet(points=points), seed=seed, initial_labels=labels)
+    except AngleMergeError as err:
+        return err
+
+
+@SMALL
+@given(finite_inputs())
+def test_any_finite_input_returns_or_raises_a_typed_error_deterministically(case):
+    # Warnings are errors under pytest, so a NaN or overflow on the way
+    # fails here too rather than passing as a result.
+    first, second = cluster_or_error(*case), cluster_or_error(*case)
+    if isinstance(first, AngleMergeError):
+        assert type(second) is type(first) and str(second) == str(first)
+        return
+    assert np.array_equal(first.labels, second.labels)
+    assert (first.selection.l_hat, first.selection.crossed, first.initial_k) == (
+        second.selection.l_hat, second.selection.crossed, second.initial_k)
+    if first.merge_run is None:
+        assert second.merge_run is None
+        return
+    assert np.array_equal(first.merge_run.initial_labels, second.merge_run.initial_labels)
+    assert len(first.merge_run.steps) == len(second.merge_run.steps)
+    for a, b in zip(first.merge_run.steps, second.merge_run.steps):
+        assert (a.k, a.t, a.pair) == (b.k, b.t, b.pair)
+        assert np.array_equal([a.gamma, a.zeta], [b.gamma, b.zeta])
+        assert np.array_equal(a.eta, b.eta) and np.array_equal(a.partners, b.partners)
