@@ -16,9 +16,10 @@ partner (the nearest-neighbour caching of Muellner's generic algorithm,
 arXiv:1109.2378), so a merge also rescans, at O(P) each, only the merged
 row and the rows whose partner was one of the merged pair: merging is
 O(P^2) overall when few rows lose their partner per merge, and O(P^3) in
-the worst case. Seeding costs O(N^2): a row-blocked partial sort finds
-each point's two allies, and the initial statistics are sparse one-hot
-products over the angle matrix.
+the worst case. Seeding costs O(N^2 * n): one pass over the angle rows,
+formed a block at a time, finds each point's two allies by a partial
+sort, and one pass over the upper triangle builds the initial statistics
+through sparse one-hot products.
 """
 
 from __future__ import annotations

@@ -1,12 +1,15 @@
 """Numeric core: unit-sphere normalization and the pairwise-angle cache.
 
 Every downstream stage works on angles between unit vectors, never on the
-raw coordinates, so the angle cache computed here is the single source of
-geometric truth for the whole pipeline. Computing it costs O(N^2 * n);
-the seeding reads after it cost O(N^2) each and make no N x N temporary:
-``two_nearest`` finds each point's two allies by a partial sort of a block
-of rows at a time, and ``grouped_sums`` aggregates the angle moments of a
-partition through a sparse one-hot matrix.
+raw coordinates, so the angle cache built here is the single source of
+geometric truth for the whole pipeline. It holds only the N x n unit
+points and computes angles a block of rows at a time, when a pass reads
+them; no N x N array is ever made. Seeding reads the angles in two
+passes of O(N^2 * n) each: ``two_nearest`` forms every full row once and
+partially sorts it to find each point's two allies, and ``grouped_sums``
+forms the upper triangle once and aggregates the angle moments of a
+partition through a sparse one-hot matrix. Memory is O(N * n + _BLOCK *
+N + P^2) for P groups.
 """
 
 from __future__ import annotations
@@ -15,13 +18,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix
 
 from .errors import DegenerateInputError, ZeroRowError
 
 # Rows whose norm lies in this range are normalized by their norm as it is.
 _NORM_RANGE = (2.0**-500, 2.0**500)
-# Rows (or columns) of the angle matrix handled at a time by the O(N^2) passes.
+# Rows of the angle matrix formed at a time by the O(N^2) passes.
 _BLOCK = 256
 
 
@@ -99,40 +102,45 @@ def normalize_rows(data: DataSet) -> DataSet:
 
 
 class AngleCache:
-    """Dense symmetric store of all pairwise angles.
+    """Pairwise angles of unit rows, computed one block of rows at a time.
 
-    One N x N float64 matrix ``theta`` with theta[i, j] = arccos(x_i . x_j)
-    in [0, pi] and a zero diagonal. Inner products are clamped to [-1, 1]
-    before arccos, so near-parallel rows never yield NaN. The matrix is
-    bitwise symmetric, so (i, j) and (j, i) read the same value.
+    Holds only the N x n normalized points. theta[i, j] = arccos(x_i . x_j)
+    lies in [0, pi], with theta[i, i] = 0; inner products are clamped to
+    [-1, 1] before arccos, so near-parallel rows never yield NaN. No N x N
+    array is ever made: each accessor computes the rows it needs as one
+    matrix product of a block of at most _BLOCK rows against the points,
+    then clamps and takes arccos, so the working memory is O(N * n +
+    _BLOCK * N) besides what an accessor returns.
 
     ``reads`` counts accessor calls; the merge loop must leave it untouched
     once the initial statistics are built, which test builds assert.
     """
 
-    def __init__(self, theta: np.ndarray):
-        if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
-            raise DegenerateInputError("angle matrix must be square")
-        self._theta = theta
+    def __init__(self, points: np.ndarray):
+        if points.ndim != 2:
+            raise DegenerateInputError("points must be 2-D")
+        self._points = np.ascontiguousarray(points, dtype=np.float64)
         self.reads = 0
 
     @property
     def n_points(self) -> int:
-        return self._theta.shape[0]
+        return self._points.shape[0]
 
-    def _acute_rows(self, start: int, stop: int) -> np.ndarray:
-        """Rows start:stop of min(theta, pi - theta), with +inf where a row
-        meets its own point, so neighbour searches skip the point itself."""
-        rows = self._theta[start:stop]
-        acute = np.subtract(np.pi, rows)
-        np.minimum(acute, rows, out=acute)
-        acute[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        return acute
+    def _theta(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Angles between two sets of rows of the points, len(rows) x len(cols)."""
+        return _arccos(self._points[rows] @ self._points[cols].T)
 
     def acute_row(self, i: int) -> np.ndarray:
-        """One row of acute angles min(theta, pi - theta), +inf at i itself."""
+        """One row of acute angles min(theta, pi - theta), +inf at i itself.
+
+        The row comes from the product of the whole block of rows that
+        holds i, the block ``two_nearest`` forms, so it equals that pass's
+        row bit for bit.
+        """
         self.reads += 1
-        return self._acute_rows(i, i + 1)[0]
+        start = i - i % _BLOCK
+        gram = self._points[start : start + _BLOCK] @ self._points.T
+        return _acute(gram[i - start][None].copy(), i)[0]
 
     def two_nearest(self) -> np.ndarray:
         """Each point's two nearest neighbours under the acute angle, N x 2.
@@ -142,14 +150,14 @@ class AngleCache:
         three candidates per row in O(N), which are then ordered by (angle,
         index). A row with more than two angles at or below its second
         candidate's (a tie at the boundary) is stable-sorted on its own.
-        O(N^2) in all, with no N x N temporary.
+        One pass over all N^2 angles, O(N^2 * n) for the products.
         """
         self.reads += 1
         n = self.n_points
         allies = np.empty((n, 2), dtype=np.int64)
         for start in range(0, n, _BLOCK):
             stop = min(start + _BLOCK, n)
-            acute = self._acute_rows(start, stop)
+            acute = _acute(self._points[start:stop] @ self._points.T, start)
             cand = np.argpartition(acute, 2, axis=1)[:, :3]
             values = np.take_along_axis(acute, cand, axis=1)
             order = np.lexsort((cand, values))
@@ -163,18 +171,24 @@ class AngleCache:
     def cross_values(self, idx_a: np.ndarray, idx_b: np.ndarray) -> np.ndarray:
         """All angles between one index set and another (disjoint) one.
 
-        Returned in ascending order, so swapping the two arguments yields a
-        bitwise-identical array.
+        Returned in ascending order. Both sets are sorted, and the set with
+        the smaller first index forms the rows of the product, so swapping
+        the two arguments yields a bitwise-identical array.
         """
         self.reads += 1
-        return np.sort(self._theta[np.ix_(idx_a, idx_b)], axis=None)
+        rows, cols = sorted((np.sort(idx_a), np.sort(idx_b)), key=lambda idx: idx[:1].tolist())
+        return np.sort(self._theta(rows, cols), axis=None)
 
     def within_values(self, idx: np.ndarray) -> np.ndarray:
-        """All C(len(idx), 2) angles among one index set."""
+        """All C(len(idx), 2) angles among one index set, in row-major
+        upper-triangle order, formed a block of rows at a time."""
         self.reads += 1
         idx = np.asarray(idx, dtype=np.int64)
-        pos_i, pos_j = np.triu_indices(idx.size, k=1)
-        return self._theta[idx[pos_i], idx[pos_j]]
+        parts = [np.empty(0)]
+        for start in range(0, idx.size, _BLOCK):
+            block = self._theta(idx[start : start + _BLOCK], idx[start:])
+            parts.append(block[np.triu_indices(block.shape[0], 1, block.shape[1])])
+        return np.concatenate(parts)
 
     def grouped_sums(self, assignment: np.ndarray, n_groups: int):
         """Angle sums and squared sums aggregated over a partition.
@@ -184,48 +198,68 @@ class AngleCache:
         between groups k and l once; diagonal entry (k, k) aggregates every
         within-group angle of k once.
 
-        The one-hot P x N matrix is sparse, so onehot @ theta @ onehot.T
-        costs O(N^2) whatever the number of groups P. theta is walked in
-        column blocks, squared one block at a time, so no N x N temporary
-        is made. The upper triangle is mirrored into the lower one, which
-        makes both results bitwise symmetric.
+        One pass over the upper triangle of theta, a block of rows I at a
+        time: the angles theta[i, j] with i in I and j > i (the diagonal
+        and everything left of it zeroed, since arccos(x . x) need not be
+        exactly 0) are summed into an upper P x P matrix U through a sparse
+        one-hot matrix, onehot[:, I] @ theta[I, J] @ onehot[:, J].T, which
+        costs O(N^2) whatever the number of groups P. The result U + U.T,
+        with U's own diagonal, is bitwise symmetric.
         """
         self.reads += 1
         n = self.n_points
         assignment = np.asarray(assignment, dtype=np.int64)
         if assignment.shape != (n,):
             raise DegenerateInputError("assignment must have one entry per point")
-        onehot = csr_matrix((np.ones(n), (assignment, np.arange(n))), shape=(n_groups, n))
-        left = np.empty((n_groups, n))
-        left_sq = np.empty((n_groups, n))
+        onehot = csc_matrix((np.ones(n), (assignment, np.arange(n))), shape=(n_groups, n))
+        upper = np.zeros((n_groups, n_groups))
+        upper_sq = np.zeros((n_groups, n_groups))
+        on_or_above = ~np.tri(_BLOCK, k=-1, dtype=bool)
         for start in range(0, n, _BLOCK):
-            cols = self._theta[:, start : start + _BLOCK]
-            left[:, start : start + _BLOCK] = onehot @ cols
-            left_sq[:, start : start + _BLOCK] = onehot @ np.square(cols)
-        lower = np.tri(n_groups, k=-1, dtype=bool)
+            stop = min(start + _BLOCK, n)
+            size = stop - start
+            # theta[start:, start:stop], the transpose of the block's rows
+            # theta[start:stop, start:]: the sparse product reads it by rows.
+            block = _arccos(self._points[start:] @ self._points[start:stop].T)
+            np.copyto(block[:size], 0.0, where=on_or_above[:size, :size])
+            rows, cols = onehot[:, start:stop], onehot[:, start:]
+            upper += rows @ (cols @ block).T
+            np.square(block, out=block)
+            upper_sq += rows @ (cols @ block).T
         sums = []
-        for half in (left, left_sq):
-            total = half @ onehot.T
-            np.copyto(total, total.T, where=lower)
-            # The bilinear form double-counts within-group pairs (i, j) and (j, i).
-            np.fill_diagonal(total, np.diagonal(total) / 2.0)
+        for half in (upper, upper_sq):
+            total = half + half.T
+            np.fill_diagonal(total, np.diagonal(half))
             sums.append(total)
         return tuple(sums)
 
 
-def compute_angles(data: DataSet) -> AngleCache:
-    """Compute all pairwise angles of an already-normalized dataset.
+def _arccos(gram: np.ndarray) -> np.ndarray:
+    """arccos of inner products clamped to [-1, 1], in place."""
+    np.clip(gram, -1.0, 1.0, out=gram)
+    return np.arccos(gram, out=gram)
 
-    Builds the dense store in place: Gram matrix, clamp to [-1, 1], arccos,
-    zero diagonal. Deterministic for fixed input. numpy evaluates X @ X.T
-    as a symmetric rank-k update and mirrors one triangle, so the store is
-    bitwise symmetric.
+
+def _acute(gram: np.ndarray, start: int) -> np.ndarray:
+    """min(theta, pi - theta) of the inner-product rows of points start,
+    start + 1, ..., with +inf where a row meets its own point, so
+    neighbour searches skip the point itself. Overwrites ``gram``."""
+    theta = _arccos(gram)
+    acute = np.subtract(np.pi, theta)
+    np.minimum(acute, theta, out=acute)
+    rows = np.arange(acute.shape[0])
+    acute[rows, start + rows] = np.inf
+    return acute
+
+
+def compute_angles(data: DataSet) -> AngleCache:
+    """The angle cache of an already-normalized dataset.
+
+    Keeps the points and computes no angle yet: each accessor forms the
+    angles it reads, a block of rows at a time. Deterministic for fixed
+    input.
     """
-    theta = data.points @ data.points.T
-    np.clip(theta, -1.0, 1.0, out=theta)
-    np.arccos(theta, out=theta)
-    np.fill_diagonal(theta, 0.0)
-    return AngleCache(theta)
+    return AngleCache(data.points)
 
 
 def read_numbers(path, what: str, **options) -> np.ndarray:

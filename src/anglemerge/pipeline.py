@@ -1,5 +1,5 @@
-"""End-to-end clustering pipeline: normalize, cache angles, seed clusters,
-merge, select. This is the programmatic surface the CLI wraps."""
+"""End-to-end clustering pipeline: normalize, set up the angle cache, seed
+clusters, merge, select. This is the programmatic surface the CLI wraps."""
 
 from __future__ import annotations
 
@@ -22,7 +22,11 @@ from .geometry import AngleCache, DataSet, compute_angles, normalize_rows
 
 @dataclass
 class ClusterRun:
-    """Everything produced by one clustering run."""
+    """Everything produced by one clustering run.
+
+    ``angles`` keeps only the normalized points, O(N * n) memory, and
+    computes the angles ``selected_pair_angle_sets`` asks for on demand.
+    """
 
     selection: SelectionResult
     merge_run: MergeRun | None
@@ -68,10 +72,10 @@ def cluster_dataset(
 ) -> ClusterRun:
     """Cluster a dataset without knowing the number of clusters.
 
-    Steps: project points onto the unit sphere, compute all pairwise
-    angles, build the initial fine clustering (ally triples, or the
-    caller-supplied labels), merge down while recording scores, and select
-    the final clustering by the threshold crossing.
+    Steps: project points onto the unit sphere, set up the angle cache,
+    build the initial fine clustering (ally triples, or the caller-supplied
+    labels) from the angles it streams, merge down while recording scores,
+    and select the final clustering by the threshold crossing.
     """
     started = time.perf_counter()
     normalized = normalize_rows(data)

@@ -309,6 +309,25 @@ class TestErrorPaths:
         assert code == EXIT_ERROR
         assert_one_line_error(capsys.readouterr().err)
 
+    def test_all_zero_row(self, tmp_path, capsys):
+        path = tmp_path / "zero.csv"
+        path.write_text("1.0,2.0\n0.0,0.0\n3.0,1.0\n2.0,2.0\n")
+        code = run_cli("cluster", "--input", str(path), "--out", str(tmp_path / "run"))
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert "row 1 has zero norm" in err
+
+    def test_two_point_initial_cluster(self, subspace_csv, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("0\n0\n" + "1\n" * 199 + "2\n" * 199)  # 400 points
+        code = run_cli("cluster", "--input", str(subspace_csv), "--labeled",
+                       "--init-labels", str(labels), "--out", str(tmp_path / "run"))
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert "smallest has 2" in err
+
     def test_ragged_points_csv(self, tmp_path, capsys):
         path = tmp_path / "ragged.csv"
         path.write_text("1.0,2.0,3.0\n4.0,5.0\n6.0,7.0,8.0\n")

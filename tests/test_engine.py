@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,20 @@ class TestInitialClustering:
         allies = cache.two_nearest()
         assert allies.shape == (40, 2)
         assert allies.base is None
+
+    def test_seeding_peaks_below_half_of_one_angle_matrix(self):
+        # One N x N float64 angle matrix is 68.7 MiB at N=3000; the streamed
+        # passes work a block of rows at a time and stay far below half of it.
+        n_points = 3000
+        rng = np.random.default_rng(3)
+        data = normalize_rows(DataSet(points=rng.standard_normal((n_points, 20))))
+        tracemalloc.start()
+        try:
+            initial_clustering(compute_angles(data), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_points**2 / 2
 
     def test_rejects_tiny_input(self):
         # AngleCache cannot be built for N < 3 through DataSet, so drive the

@@ -114,6 +114,23 @@ class TestComputeAngles:
         acute = acute_matrix(cache)
         np.testing.assert_array_equal(acute, acute.T)
 
+    def test_reads_across_row_blocks_match_the_oracle(self):
+        # 600 points span three blocks of rows, so (i, j) and (j, i) often
+        # come from two different block products.
+        rng = np.random.default_rng(14)
+        points = unit_sphere_points(rng, 600, 5)
+        cache = compute_angles(DataSet(points=points))
+        full = angle_oracle(points)
+        acute = acute_matrix(cache)
+        np.testing.assert_array_equal(acute, acute.T)
+        off = ~np.eye(600, dtype=bool)
+        np.testing.assert_allclose(acute[off], np.minimum(full, np.pi - full)[off],
+                                   rtol=0, atol=1e-12)
+        idx = rng.permutation(600)[:550]
+        np.testing.assert_allclose(cache.within_values(idx),
+                                   full[np.ix_(idx, idx)][np.triu_indices(550, k=1)],
+                                   rtol=0, atol=1e-12)
+
     def test_range_and_acute_identity(self):
         rng = np.random.default_rng(1)
         cache = compute_angles(DataSet(points=unit_sphere_points(rng, 40, 8)))
@@ -158,15 +175,19 @@ class TestAngleCacheAccess:
             rtol=0, atol=1e-12,
         )
 
-    def test_store_is_one_symmetric_matrix_with_zero_diagonal(self):
+    def test_store_is_the_points_alone(self):
         rng = np.random.default_rng(10)
-        n_points = 25
-        cache = compute_angles(DataSet(points=unit_sphere_points(rng, n_points, 6)))
+        n_points, dim = 25, 6
+        points = unit_sphere_points(rng, n_points, dim)
+        cache = compute_angles(DataSet(points=points))
         arrays = [v for v in vars(cache).values() if isinstance(v, np.ndarray)]
-        assert [a.shape for a in arrays] == [(n_points, n_points)]
-        # With one group per point the one-hot products are exact and return
-        # the store itself (diagonal halved, so zero stays zero).
+        assert [a.shape for a in arrays] == [(n_points, dim)]
+        # With one group per point the grouped sums are theta itself, with
+        # an exact zero where a point meets itself.
         store, _ = cache.grouped_sums(np.arange(n_points), n_points)
+        expected = angle_oracle(points)
+        np.fill_diagonal(expected, 0.0)
+        np.testing.assert_allclose(store, expected, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(store, store.T)
         np.testing.assert_array_equal(np.diagonal(store), 0.0)
 

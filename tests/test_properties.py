@@ -1,22 +1,28 @@
 """Property tests: the O(N^2) seeding passes against brute-force oracles,
 the merge engine's statistics, replay and cached scores against
-from-scratch rebuilds, and the pipeline's typed-error and determinism
-contract on arbitrary finite inputs."""
+from-scratch rebuilds, the selection rule on arbitrary traces, the
+metrics' invariance to renamed labels, and the pipeline's typed-error and
+determinism contract on arbitrary finite inputs."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from anglemerge.engine import (
     Clustering,
+    MergeRun,
+    MergeStep,
     _refresh_distance,
     compute_scores,
     distance_matrix,
     initial_clustering,
     run_merging,
+    select_clustering,
 )
 from anglemerge.errors import AngleMergeError
 from anglemerge.geometry import DataSet, compute_angles, normalize_rows
+from anglemerge.metrics import clustering_error, nmi
 from anglemerge.pipeline import cluster_dataset
 from helpers import acute_matrix, angle_oracle, unit_sphere_points
 
@@ -84,6 +90,28 @@ def test_grouped_sums_match_double_loop(seed, n_points, n_groups):
     np.testing.assert_allclose(sums, expect_sum, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(sumsqs, expect_sq, rtol=1e-12, atol=1e-12)
     assert np.array_equal(sums, sums.T) and np.array_equal(sumsqs, sumsqs.T)
+
+
+@SMALL
+@given(st.integers(0, 2**32 - 1), st.integers(3, 600), st.integers(1, 40))
+def test_grouped_sums_match_the_oracle_across_row_blocks(seed, n_points, n_groups):
+    # Up to 600 points: the upper-triangle pass crosses up to two block
+    # boundaries, and blocks pair with every block after them.
+    rng = np.random.default_rng(seed)
+    unit = unit_sphere_points(rng, n_points, 5)
+    assignment = rng.integers(0, n_groups, size=n_points)
+    sums, sumsqs = compute_angles(DataSet(points=unit)).grouped_sums(assignment, n_groups)
+
+    i, j = np.triu_indices(n_points, k=1)
+    a, b = assignment[i], assignment[j]
+    cross = a != b
+    angles = angle_oracle(unit)[i, j]
+    for got, values in ((sums, angles), (sumsqs, angles**2)):
+        expected = np.zeros((n_groups, n_groups))
+        np.add.at(expected, (a, b), values)
+        np.add.at(expected, (b[cross], a[cross]), values[cross])
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(got, got.T)
 
 
 @st.composite
@@ -247,3 +275,48 @@ def test_any_finite_input_returns_or_raises_a_typed_error_deterministically(case
         assert (a.k, a.t, a.pair) == (b.k, b.t, b.pair)
         assert np.array_equal([a.gamma, a.zeta], [b.gamma, b.zeta])
         assert np.array_equal(a.eta, b.eta) and np.array_equal(a.partners, b.partners)
+
+
+@st.composite
+def merge_traces(draw):
+    """A merge run of 2 to 12 initial clusters whose gamma and zeta come
+    from a few values, so that gamma == zeta (no crossing) occurs often."""
+    initial_k = draw(st.integers(2, 12))
+    level = st.sampled_from([0.0, 0.1, 0.25, 0.5])
+    steps = [
+        MergeStep(k=k, gamma=draw(level), zeta=draw(level), t=k + 1, pair=(0, 1),
+                  eta=np.zeros(k), partners=np.zeros(k, dtype=np.int64))
+        for k in range(initial_k, 1, -1)
+    ]
+    initial_labels = np.array(draw(st.permutations(range(initial_k))) * 3)
+    return MergeRun(steps=steps, initial_labels=initial_labels)
+
+
+@SMALL
+@given(merge_traces())
+def test_selection_is_the_largest_crossing_k(run):
+    crossing = [step.k for step in run.steps if step.gamma > step.zeta]
+    selection = select_clustering(run)
+    assert selection.crossed == bool(crossing)
+    assert selection.l_hat == max(crossing, default=1)
+    np.testing.assert_array_equal(selection.labels, run.labels_at(selection.l_hat))
+
+
+@st.composite
+def labelings(draw):
+    """Two labelings of the same points and an injective renaming of each."""
+    size = draw(st.integers(1, 40))
+    labeling = st.lists(st.integers(0, 5), min_size=size, max_size=size)
+    truth, pred = np.array(draw(labeling)), np.array(draw(labeling))
+    names = st.lists(st.integers(-10**9, 10**9), min_size=6, max_size=6, unique=True)
+    return truth, pred, np.array(draw(names)), np.array(draw(names))
+
+
+@SMALL
+@given(labelings())
+def test_metrics_ignore_renamed_labels(case):
+    truth, pred, truth_names, pred_names = case
+    for metric in (clustering_error, nmi):
+        base = metric(truth, pred)
+        assert metric(truth_names[truth], pred) == pytest.approx(base, abs=1e-12)
+        assert metric(truth, pred_names[pred]) == pytest.approx(base, abs=1e-12)
