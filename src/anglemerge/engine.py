@@ -16,10 +16,11 @@ partner (the nearest-neighbour caching of Muellner's generic algorithm,
 arXiv:1109.2378), so a merge also rescans, at O(P) each, only the merged
 row and the rows whose partner was one of the merged pair: merging is
 O(P^2) overall when few rows lose their partner per merge, and O(P^3) in
-the worst case. Seeding costs O(N^2 * n): one pass over the angle rows,
-formed a block at a time, finds each point's two allies by a partial
-sort, and one pass over the upper triangle builds the initial statistics
-through sparse one-hot products.
+the worst case. Seeding costs O(N^2 * n): one pass over the rows of inner
+products, formed a block at a time, finds each point's two allies by
+ranking |x . y| and taking arccos of O(N) candidates in all, and one pass
+over the upper triangle of the angles, with the points in group order,
+builds the initial statistics through sparse one-hot products.
 """
 
 from __future__ import annotations

@@ -5,9 +5,11 @@ raw coordinates, so the angle cache built here is the single source of
 geometric truth for the whole pipeline. It holds only the N x n unit
 points and computes angles a block of rows at a time, when a pass reads
 them; no N x N array is ever made. Seeding reads the angles in two
-passes of O(N^2 * n) each: ``two_nearest`` forms every full row once and
-partially sorts it to find each point's two allies, and ``grouped_sums``
-forms the upper triangle once and aggregates the angle moments of a
+passes of O(N^2 * n) each: ``two_nearest`` forms every full row of inner
+products once and ranks them by |x . y|, taking arccos of only a few
+candidates per row, to find each point's two allies; ``grouped_sums``
+takes the points in group order, forms the upper triangle of the angles
+once (arccos of N^2 / 2 entries) and aggregates the angle moments of a
 partition through a sparse one-hot matrix. Memory is O(N * n + _BLOCK *
 N + P^2) for P groups.
 """
@@ -26,6 +28,9 @@ from .errors import DegenerateInputError, ZeroRowError
 _NORM_RANGE = (2.0**-500, 2.0**500)
 # Rows of the angle matrix formed at a time by the O(N^2) passes.
 _BLOCK = 256
+# Least gap between a row's third and fourth largest |x . y| for which the
+# ally search trusts the ranking by |x . y| without sorting the row's angles.
+_TIE_GAP = 1e-12
 
 
 @dataclass
@@ -109,8 +114,8 @@ class AngleCache:
     [-1, 1] before arccos, so near-parallel rows never yield NaN. No N x N
     array is ever made: each accessor computes the rows it needs as one
     matrix product of a block of at most _BLOCK rows against the points,
-    then clamps and takes arccos, so the working memory is O(N * n +
-    _BLOCK * N) besides what an accessor returns.
+    then clamps and takes arccos of the entries it reads, so the working
+    memory is O(N * n + _BLOCK * N) besides what an accessor returns.
 
     ``reads`` counts accessor calls; the merge loop must leave it untouched
     once the initial statistics are built, which test builds assert.
@@ -134,38 +139,52 @@ class AngleCache:
         """One row of acute angles min(theta, pi - theta), +inf at i itself.
 
         The row comes from the product of the whole block of rows that
-        holds i, the block ``two_nearest`` forms, so it equals that pass's
-        row bit for bit.
+        holds i, the block ``two_nearest`` forms, so it equals the row that
+        pass sorts for a near tie bit for bit.
         """
         self.reads += 1
         start = i - i % _BLOCK
         gram = self._points[start : start + _BLOCK] @ self._points.T
-        return _acute(gram[i - start][None].copy(), i)[0]
+        return _acute_row(gram[i - start], i)
 
     def two_nearest(self) -> np.ndarray:
         """Each point's two nearest neighbours under the acute angle, N x 2.
 
         Ties resolve to the smaller point index, exactly as a stable sort of
-        the whole row would. Works on blocks of rows: a partial sort finds
-        three candidates per row in O(N), which are then ordered by (angle,
-        index). A row with more than two angles at or below its second
-        candidate's (a tie at the boundary) is stable-sorted on its own.
-        One pass over all N^2 angles, O(N^2 * n) for the products.
+        the whole row would. The acute angle is arccos(|x . y|), which falls
+        as |x . y| grows, so each block of rows ranks its candidates on
+        |x . y| and takes arccos of only three per row: four argmax passes
+        find the four largest |x . y| of each row, and the first three are
+        ordered by their exact acute angles, then by index. That is exact
+        when the fourth lies more than _TIE_GAP below the third: arccos has
+        slope of magnitude at least 1, so the fourth's angle then exceeds
+        the third's by far more than the few ulps of pi the computed acute
+        angle is off arccos(|x . y|). Any other row (a near tie, a
+        duplicate point, or N = 3) is stable-sorted whole. One pass over
+        all N^2 inner products, O(N^2 * n), with arccos on O(N) of them.
         """
         self.reads += 1
         n = self.n_points
         allies = np.empty((n, 2), dtype=np.int64)
         for start in range(0, n, _BLOCK):
             stop = min(start + _BLOCK, n)
-            acute = _acute(self._points[start:stop] @ self._points.T, start)
-            cand = np.argpartition(acute, 2, axis=1)[:, :3]
-            values = np.take_along_axis(acute, cand, axis=1)
+            gram = self._points[start:stop] @ self._points.T
+            rows = np.arange(stop - start)
+            score = np.abs(gram)
+            score[rows, start + rows] = -np.inf
+            top = np.empty((rows.size, 4), dtype=np.int64)
+            best = np.empty((rows.size, 4))
+            for k in range(4):
+                top[:, k] = np.argmax(score, axis=1)
+                best[:, k] = score[rows, top[:, k]]
+                score[rows, top[:, k]] = -np.inf
+            cand = top[:, :3]
+            values = _acute(np.take_along_axis(gram, cand, axis=1))
             order = np.lexsort((cand, values))
-            cand = np.take_along_axis(cand, order, axis=1)
-            second = np.take_along_axis(values, order[:, 1:2], axis=1)
-            allies[start:stop] = cand[:, :2]
-            for r in np.flatnonzero(np.count_nonzero(acute <= second, axis=1) > 2):
-                allies[start + r] = np.argsort(acute[r], kind="stable")[:2]
+            allies[start:stop] = np.take_along_axis(cand, order[:, :2], axis=1)
+            for r in np.flatnonzero(~(best[:, 3] < best[:, 2] - _TIE_GAP)):
+                row = _acute_row(gram[r], start + r)
+                allies[start + r] = np.argsort(row, kind="stable")[:2]
         return allies
 
     def cross_values(self, idx_a: np.ndarray, idx_b: np.ndarray) -> np.ndarray:
@@ -198,20 +217,29 @@ class AngleCache:
         between groups k and l once; diagonal entry (k, k) aggregates every
         within-group angle of k once.
 
-        One pass over the upper triangle of theta, a block of rows I at a
+        The points are taken in the order of a stable sort by group, so a
+        block of rows I holds one contiguous range of groups g0..g1. One
+        pass over the upper triangle of theta in that order, a block at a
         time: the angles theta[i, j] with i in I and j > i (the diagonal
         and everything left of it zeroed, since arccos(x . x) need not be
-        exactly 0) are summed into an upper P x P matrix U through a sparse
-        one-hot matrix, onehot[:, I] @ theta[I, J] @ onehot[:, J].T, which
-        costs O(N^2) whatever the number of groups P. The result U + U.T,
-        with U's own diagonal, is bitwise symmetric.
+        exactly 0) are summed through a sparse one-hot matrix,
+        onehot[g0:g1, I] @ theta[I, J] @ onehot[g0:, J].T, into rows g0..g1
+        of an upper-triangular P x P matrix U. The pass costs O(N^2 * n)
+        for the products, with arccos on the N^2 / 2 angles, and adds a
+        (g1 - g0) x (P - g0) array per block. The result U + U.T, with U's
+        own diagonal, is bitwise symmetric.
         """
         self.reads += 1
         n = self.n_points
         assignment = np.asarray(assignment, dtype=np.int64)
         if assignment.shape != (n,):
             raise DegenerateInputError("assignment must have one entry per point")
-        onehot = csc_matrix((np.ones(n), (assignment, np.arange(n))), shape=(n_groups, n))
+        order = np.argsort(assignment, kind="stable")
+        labels = assignment[order]
+        # Labels already in group order (as caller-supplied labels often
+        # are) need no N x n permuted copy of the points.
+        points = self._points if np.array_equal(labels, assignment) else self._points[order]
+        onehot = csc_matrix((np.ones(n), (labels, np.arange(n))), shape=(n_groups, n))
         upper = np.zeros((n_groups, n_groups))
         upper_sq = np.zeros((n_groups, n_groups))
         on_or_above = ~np.tri(_BLOCK, k=-1, dtype=bool)
@@ -220,12 +248,13 @@ class AngleCache:
             size = stop - start
             # theta[start:, start:stop], the transpose of the block's rows
             # theta[start:stop, start:]: the sparse product reads it by rows.
-            block = _arccos(self._points[start:] @ self._points[start:stop].T)
+            block = _arccos(points[start:] @ points[start:stop].T)
             np.copyto(block[:size], 0.0, where=on_or_above[:size, :size])
-            rows, cols = onehot[:, start:stop], onehot[:, start:]
-            upper += rows @ (cols @ block).T
+            g0, g1 = labels[start], labels[stop - 1] + 1
+            rows, cols = onehot[g0:g1, start:stop], onehot[g0:, start:]
+            upper[g0:g1, g0:] += rows @ (cols @ block).T
             np.square(block, out=block)
-            upper_sq += rows @ (cols @ block).T
+            upper_sq[g0:g1, g0:] += rows @ (cols @ block).T
         sums = []
         for half in (upper, upper_sq):
             total = half + half.T
@@ -240,15 +269,18 @@ def _arccos(gram: np.ndarray) -> np.ndarray:
     return np.arccos(gram, out=gram)
 
 
-def _acute(gram: np.ndarray, start: int) -> np.ndarray:
-    """min(theta, pi - theta) of the inner-product rows of points start,
-    start + 1, ..., with +inf where a row meets its own point, so
-    neighbour searches skip the point itself. Overwrites ``gram``."""
+def _acute(gram: np.ndarray) -> np.ndarray:
+    """min(theta, pi - theta) of inner products, overwriting ``gram``."""
     theta = _arccos(gram)
     acute = np.subtract(np.pi, theta)
-    np.minimum(acute, theta, out=acute)
-    rows = np.arange(acute.shape[0])
-    acute[rows, start + rows] = np.inf
+    return np.minimum(acute, theta, out=acute)
+
+
+def _acute_row(gram_row: np.ndarray, i: int) -> np.ndarray:
+    """The acute angles of point i's row of inner products, with +inf at i
+    itself so that neighbour searches skip the point."""
+    acute = _acute(gram_row.copy())
+    acute[i] = np.inf
     return acute
 
 

@@ -295,6 +295,15 @@ class TestBounds:
         assert run_cli("bounds", "--t-list", t_list) == EXIT_ERROR
         assert_one_line_error(capsys.readouterr().err)
 
+    # NoFiniteSampleSizeError never reaches the CLI: bound_report maps it to
+    # "unbounded" (test_unbounded_marker). DomainError does, as one line.
+    @pytest.mark.parametrize(
+        "argv", [["--t-list", "1"], ["--var-ratio-sum", "1"], ["--mean-sep", "-1"]]
+    )
+    def test_out_of_domain_parameter_is_a_typed_error(self, capsys, argv):
+        assert run_cli("bounds", *argv) == EXIT_ERROR
+        assert_one_line_error(capsys.readouterr().err)
+
 
 class TestErrorPaths:
     def test_missing_input_file(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from anglemerge import geometry
 from anglemerge.engine import (
     Clustering,
     MergeRun,
@@ -63,9 +64,37 @@ def test_two_nearest_matches_stable_sort(points):
 def test_two_nearest_matches_stable_sort_across_row_blocks(seed, n_points):
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((n_points, 3))
-    # A repeated row makes an exact tie wherever it is a nearest neighbour.
-    points[rng.integers(n_points)] = points[rng.integers(n_points)]
+    # Up to five copies of each of two rows, in any block: exact, negated or
+    # one ulp off. They tie exactly or nearly wherever they are neighbours,
+    # and in each other's rows at every rank up to the fourth.
+    for source in rng.integers(n_points, size=2):
+        for target in rng.integers(n_points, size=rng.integers(1, 6)):
+            points[target] = points[source] * rng.choice([1.0, -1.0])
+            if rng.random() < 0.5:
+                points[target, 0] = np.nextafter(points[target, 0], np.inf)
     assert_two_nearest_matches_stable_sort(points)
+
+
+def test_two_nearest_sorts_a_tied_row_whole(monkeypatch):
+    # Point 0 and four copies of it, exact, negated or rescaled: each of
+    # these five rows has its third and fourth largest |x . y| tied at 1.
+    rng = np.random.default_rng(21)
+    points = rng.standard_normal((12, 3))
+    copies = [3, 5, 8, 11]
+    points[copies] = points[0] * np.array([[1.0], [-1.0], [3.0], [-0.5]])
+    cache = compute_angles(normalize_rows(DataSet(points=points)))
+    expected = np.argsort(acute_matrix(cache), axis=1, kind="stable")[:, :2]
+    whole = []
+    acute_row = geometry._acute_row
+    monkeypatch.setattr(geometry, "_acute_row", lambda row, i: whole.append(i) or acute_row(row, i))
+    np.testing.assert_array_equal(cache.two_nearest(), expected)
+    assert set(whole) >= {0, *copies}
+
+
+@pytest.mark.parametrize("n_points", [3, 4])
+def test_two_nearest_with_fewer_than_four_other_points(n_points):
+    rng = np.random.default_rng(n_points)
+    assert_two_nearest_matches_stable_sort(rng.standard_normal((n_points, 3)))
 
 
 @SMALL
@@ -112,6 +141,29 @@ def test_grouped_sums_match_the_oracle_across_row_blocks(seed, n_points, n_group
         np.add.at(expected, (b[cross], a[cross]), values[cross])
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
         assert np.array_equal(got, got.T)
+
+
+@SMALL
+@given(st.integers(0, 2**32 - 1), st.integers(3, 600), st.integers(1, 40),
+       st.sampled_from(["sorted", "reversed", "empty groups"]))
+def test_grouped_sums_do_not_depend_on_point_order(seed, n_points, n_groups, kind):
+    # The pass sums the points in group order; moving the points and their
+    # labels together only changes the order of additions within a group.
+    rng = np.random.default_rng(seed)
+    unit = unit_sphere_points(rng, n_points, 5)
+    assignment = np.sort(rng.integers(0, n_groups, size=n_points))
+    if kind == "reversed":
+        assignment = assignment[::-1].copy()
+    elif kind == "empty groups":
+        assignment, n_groups = 2 * assignment, 2 * n_groups + 3
+    perm = rng.permutation(n_points)
+    sums = compute_angles(DataSet(points=unit)).grouped_sums(assignment, n_groups)
+    moved = compute_angles(DataSet(points=unit[perm])).grouped_sums(assignment[perm], n_groups)
+    empty = np.setdiff1d(np.arange(n_groups), assignment)
+    for got, again in zip(sums, moved):
+        np.testing.assert_allclose(again, got, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(got, got.T) and np.array_equal(again, again.T)
+        assert not got[empty].any() and not again[empty].any()
 
 
 @st.composite
