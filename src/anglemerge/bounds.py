@@ -76,6 +76,11 @@ class SeparationParams:
     var_ratio_sum: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.mean_sep) and math.isfinite(self.var_ratio_sum)):
+            raise DomainError(
+                f"separation must be finite, got mean_sep={self.mean_sep}, "
+                f"var_ratio_sum={self.var_ratio_sum}"
+            )
         if self.mean_sep < 0.0:
             raise DomainError(f"mean_sep must be >= 0, got {self.mean_sep}")
         if self.var_ratio_sum < 2.0:

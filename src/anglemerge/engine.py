@@ -16,11 +16,14 @@ partner (the nearest-neighbour caching of Muellner's generic algorithm,
 arXiv:1109.2378), so a merge also rescans, at O(P) each, only the merged
 row and the rows whose partner was one of the merged pair: merging is
 O(P^2) overall when few rows lose their partner per merge, and O(P^3) in
-the worst case. Seeding costs O(N^2 * n): one pass over the rows of inner
-products, formed a block at a time, finds each point's two allies by
-ranking |x . y| and taking arccos of O(N) candidates in all, and one pass
-over the upper triangle of the angles, with the points in group order,
-builds the initial statistics through sparse one-hot products.
+the worst case. The loop's only state is the distance matrix and those
+cached minima; each K records O(1) values (score, threshold, sample
+budget, merged pair), so the trace is O(P) in all. Seeding costs
+O(N^2 * n): one pass over the rows of inner products, formed a block at a
+time, finds each point's two allies by ranking |x . y| and taking arccos
+of O(N) candidates in all, and one pass over the upper triangle of the
+angles, with the points in group order, builds the initial statistics
+through sparse one-hot products.
 """
 
 from __future__ import annotations
@@ -137,15 +140,6 @@ class Clustering:
                    for s, r in zip(stored, rebuilt))
 
 
-def _within_moments(clustering: Clustering, live: np.ndarray):
-    """Sizes (as floats) and within-angle moments of the given live slots."""
-    sizes = clustering.sizes[live].astype(np.float64)
-    mean_w, var_w = moments(
-        clustering.w_sum[live], clustering.w_sumsq[live], sizes * (sizes - 1.0) / 2.0
-    )
-    return sizes, mean_w, var_w
-
-
 def _check_mergeable(clustering: Clustering) -> None:
     if clustering.k < 2:
         raise DegenerateInputError("need at least 2 clusters")
@@ -158,25 +152,19 @@ def distance_matrix(clustering: Clustering) -> np.ndarray:
     """All pairwise slot distances d[k, l]; +inf on the diagonal and for empty slots.
 
     Not symmetric: d[k, l] judges the k-to-l cross angles against cluster
-    k's own within angles, d[l, k] against cluster l's.
+    k's own within angles, d[l, k] against cluster l's. The statistics are
+    read whole, as views, whether or not some slots are empty.
     """
     _check_mergeable(clustering)
-    # Sizes >= 3 keep every count above 1. The diagonal's between sums are
-    # zero, so its entries are finite (floored variance) until set to inf.
-    live = clustering.live
-    # With every slot live (each run's first call) the matrices are read
-    # whole, as views, and the result is d itself: no copied live block.
-    full = live.size == clustering.sizes.size
-    block = np.s_[:, :] if full else np.ix_(live, live)
-    sizes, mean_w, var_w = _within_moments(clustering, live)
-    mean_b, var_b = moments(
-        clustering.b_sum[block], clustering.b_sumsq[block], np.outer(sizes, sizes)
-    )
+    # Live sizes are >= 3, so every count is above 1. An empty slot counts
+    # as 3 points: its all-zero statistics then give finite entries (floored
+    # variance), as the diagonal's zero between sums do, until set to inf.
+    sizes = np.maximum(clustering.sizes, 3).astype(np.float64)
+    mean_w, var_w = moments(clustering.w_sum, clustering.w_sumsq, sizes * (sizes - 1.0) / 2.0)
+    mean_b, var_b = moments(clustering.b_sum, clustering.b_sumsq, np.outer(sizes, sizes))
     d = bhattacharyya(mean_w[:, None], var_w[:, None], mean_b, var_b)
-    if not full:
-        d_live = d
-        d = np.full(clustering.b_sum.shape, np.inf)
-        d[block] = d_live
+    empty = clustering.sizes == 0
+    d[empty, :] = d[:, empty] = np.inf
     np.fill_diagonal(d, np.inf)
     return d
 
@@ -189,7 +177,10 @@ def _refresh_distance(d: np.ndarray, clustering: Clustering, kept: int, emptied:
     both directions: the whole per-merge distance update is O(P).
     """
     live = clustering.live
-    sizes, mean_w, var_w = _within_moments(clustering, live)
+    sizes = clustering.sizes[live].astype(np.float64)
+    mean_w, var_w = moments(
+        clustering.w_sum[live], clustering.w_sumsq[live], sizes * (sizes - 1.0) / 2.0
+    )
     at = int(np.searchsorted(live, kept))
     mean_b, var_b = moments(
         clustering.b_sum[kept, live], clustering.b_sumsq[kept, live], sizes[at] * sizes
@@ -222,19 +213,15 @@ def compute_scores(clustering: Clustering, d: np.ndarray | None = None) -> Score
     else:
         _check_mergeable(clustering)
     eta, partners = _row_minima(d)
-    return _score_set(eta, partners)
+    i_star = int(np.argmin(eta))
+    j_star = int(partners[i_star])
+    return ScoreSet(eta=eta, partners=partners, gamma=float(eta[i_star]), pair=(i_star, j_star))
 
 
 def _row_minima(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's minimum and the first column attaining it."""
     partners = np.argmin(rows, axis=1)
     return rows[np.arange(rows.shape[0]), partners], partners
-
-
-def _score_set(eta: np.ndarray, partners: np.ndarray) -> ScoreSet:
-    i_star = int(np.argmin(eta))
-    j_star = int(partners[i_star])
-    return ScoreSet(eta=eta, partners=partners, gamma=float(eta[i_star]), pair=(i_star, j_star))
 
 
 def _update_minima(d: np.ndarray, eta: np.ndarray, partners: np.ndarray,
@@ -281,15 +268,15 @@ def threshold(t: int) -> float:
 
 @dataclass
 class MergeStep:
-    """One record of the merge loop, taken before the merge at that K."""
+    """One record of the merge loop, taken before the merge at that K: the
+    clustering score, its threshold and sample budget, and the merged pair.
+    O(1) per K, so a run's trace is O(P) in all."""
 
     k: int
     gamma: float
     zeta: float
     t: int
     pair: tuple[int, int]
-    eta: np.ndarray
-    partners: np.ndarray
 
 
 @dataclass
@@ -330,9 +317,10 @@ def run_merging(initial: Clustering) -> MergeRun:
     loop ends after recording K = 2. The input clustering is not modified.
     Records number the K live slots 0..K-1 in slot order, as labels_at does.
 
-    The scores equal ``compute_scores`` on the current distance matrix at
-    every K, bitwise, but the row minima are cached across merges: a merge
-    rescans only the rows ``_update_minima`` names, so the loop costs O(P^2)
+    The loop keeps one state, the distance matrix and each slot's cached
+    row minimum eta and partner. gamma and the pair equal ``compute_scores``
+    on the current distance matrix at every K, bitwise, but a merge rescans
+    only the rows ``_update_minima`` names, so the loop costs O(P^2)
     overall when few rows lose their partner per merge, O(P^3) at worst.
     """
     if initial.k < 2:
@@ -340,32 +328,23 @@ def run_merging(initial: Clustering) -> MergeRun:
     work = initial.copy()
     d = distance_matrix(work)
     eta, partners = _row_minima(d)
-    initial_labels = (np.cumsum(initial.sizes > 0) - 1)[initial.labels]
+    live = work.sizes > 0
+    initial_labels = (np.cumsum(live) - 1)[initial.labels]
     steps: list[MergeStep] = []
-    while True:
-        scores = _score_set(eta, partners)
-        i_star, j_star = scores.pair
-        live = work.live
-        rank = np.cumsum(work.sizes > 0) - 1
-        pair = (int(rank[i_star]), int(rank[j_star]))
+    for k in range(initial.k, 1, -1):
+        i_star = int(np.argmin(eta))
+        j_star = int(partners[i_star])
         t_k = t_pair(int(work.sizes[i_star]), int(work.sizes[j_star]))
+        pair = (int(np.count_nonzero(live[:i_star])), int(np.count_nonzero(live[:j_star])))
         steps.append(
-            MergeStep(
-                k=live.size,
-                gamma=scores.gamma,
-                zeta=threshold(t_k),
-                t=t_k,
-                pair=pair,
-                eta=scores.eta[live],
-                partners=rank[scores.partners[live]],
-            )
+            MergeStep(k=k, gamma=float(eta[i_star]), zeta=threshold(t_k), t=t_k, pair=pair)
         )
-        if live.size == 2:
-            break
-        kept = work.merge(i_star, j_star)
-        emptied = max(i_star, j_star)
-        _refresh_distance(d, work, kept, emptied)
-        _update_minima(d, eta, partners, work.sizes > 0, kept, emptied)
+        if k > 2:
+            kept = work.merge(i_star, j_star)
+            emptied = max(i_star, j_star)
+            live[emptied] = False
+            _refresh_distance(d, work, kept, emptied)
+            _update_minima(d, eta, partners, live, kept, emptied)
     return MergeRun(steps=steps, initial_labels=initial_labels)
 
 

@@ -8,6 +8,7 @@ pipeline projects onto the unit sphere itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,12 @@ class DPSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rho <= 0 or self.sigma <= 0 or self.alpha <= 0:
-            raise DegenerateInputError("rho, sigma and alpha must all be positive")
+        if self.n < 2:
+            raise DegenerateInputError(f"need n >= 2, got {self.n}")
+        for name in ("rho", "sigma", "alpha"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DegenerateInputError(f"{name} must be finite and positive, got {value}")
         if self.N < 3:
             raise DegenerateInputError(f"need N >= 3, got {self.N}")
 

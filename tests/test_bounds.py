@@ -201,6 +201,10 @@ class TestDeltaAndTmin:
             SeparationParams(mean_sep=-0.1, var_ratio_sum=3.0)
         with pytest.raises(DomainError):
             SeparationParams(mean_sep=0.0, var_ratio_sum=1.9)
+        for mean_sep, var_ratio_sum in ((math.nan, 3.0), (math.inf, 3.0),
+                                        (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(DomainError, match="finite"):
+                SeparationParams(mean_sep=mean_sep, var_ratio_sum=var_ratio_sum)
 
 
 class TestBoundReport:

@@ -298,7 +298,8 @@ class TestBounds:
     # NoFiniteSampleSizeError never reaches the CLI: bound_report maps it to
     # "unbounded" (test_unbounded_marker). DomainError does, as one line.
     @pytest.mark.parametrize(
-        "argv", [["--t-list", "1"], ["--var-ratio-sum", "1"], ["--mean-sep", "-1"]]
+        "argv", [["--t-list", "1"], ["--var-ratio-sum", "1"], ["--mean-sep", "-1"],
+                 ["--mean-sep", "nan"], ["--var-ratio-sum", "inf"]]
     )
     def test_out_of_domain_parameter_is_a_typed_error(self, capsys, argv):
         assert run_cli("bounds", *argv) == EXIT_ERROR
@@ -393,6 +394,13 @@ class TestErrorPaths:
     def test_malformed_command_line_is_a_typed_error(self, capsys, argv):
         assert run_cli(*argv) == EXIT_ERROR
         assert_one_line_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "-1"], ["--alpha", "nan"]])
+    def test_degenerate_dp_spec_is_a_typed_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "dp.csv"
+        assert run_cli("synth", "--model", "dp", "--out", str(out), *argv) == EXIT_ERROR
+        assert_one_line_error(capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["cluster", "trace", "synth", "bench"])
     def test_negative_seed_is_rejected_by_every_command(self, capsys, command):

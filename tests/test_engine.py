@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from anglemerge.engine import (
     MergeRun,
     MergeStep,
     _refresh_distance,
+    _row_minima,
+    _update_minima,
     compute_scores,
     distance_matrix,
     initial_clustering,
@@ -357,7 +360,6 @@ class TestRunMerging:
         for step in run.steps:
             assert step.gamma >= 0.0
             assert step.zeta == threshold(step.t)
-            assert step.eta.shape == (step.k,)
 
     def test_t_uses_mergeable_pair_sizes(self):
         data, cache = fig_trace_scenario()
@@ -387,8 +389,6 @@ class TestRunMerging:
         for sa, sb in zip(a.steps, b.steps):
             assert sa.k == sb.k and sa.pair == sb.pair and sa.t == sb.t
             assert sa.gamma == sb.gamma and sa.zeta == sb.zeta
-            np.testing.assert_array_equal(sa.eta, sb.eta)
-            np.testing.assert_array_equal(sa.partners, sb.partners)
         np.testing.assert_array_equal(a.initial_labels, b.initial_labels)
 
     def test_crossing_pattern_on_six_subspaces(self):
@@ -463,8 +463,46 @@ class TestRunMerging:
         for step in run.steps:
             scores = compute_scores(Clustering.from_labels(cache, run.labels_at(step.k)))
             assert scores.pair == step.pair
-            np.testing.assert_array_equal(scores.partners, step.partners)
-            np.testing.assert_allclose(scores.eta, step.eta, rtol=1e-9)
+            assert scores.gamma == pytest.approx(step.gamma, rel=1e-9)
+
+    def test_update_minima_moves_a_tied_row_to_the_smaller_kept_slot(self):
+        # Slots 0 and 1 merge into 0. Row 3's cached partner, slot 2, is
+        # neither of them, so row 3 is not rescanned; its new distance to
+        # slot 0 ties the cached 0.5, and argmin's first occurrence takes 0.
+        d = np.array([[np.inf, 0.1, 0.9, 0.7],
+                      [0.1, np.inf, 0.9, 0.8],
+                      [0.9, 0.9, np.inf, 0.5],
+                      [0.7, 0.8, 0.5, np.inf]])
+        eta, partners = _row_minima(d)
+        assert partners.tolist() == [1, 0, 3, 2]
+        d[0, :] = d[:, 0] = [np.inf, np.inf, 0.6, 0.5]
+        d[1, :] = d[:, 1] = np.inf
+        live = np.array([True, False, True, True])
+        _update_minima(d, eta, partners, live, kept=0, emptied=1)
+        want_eta, want_partners = _row_minima(d)
+        assert partners[3] == 0
+        np.testing.assert_array_equal(eta, want_eta)
+        np.testing.assert_array_equal(partners[live], want_partners[live])
+
+    def test_steps_hold_only_per_k_scalars(self):
+        assert [f.name for f in fields(MergeStep)] == ["k", "gamma", "zeta", "t", "pair"]
+
+    def test_retained_run_is_far_below_one_distance_matrix(self):
+        # The run keeps O(1) per K and the initial labels: with P=600 slots
+        # that is well under an eighth of one P x P float64 array.
+        n_slots = 600
+        rng = np.random.default_rng(14)
+        cache = make_cache(unit_sphere_points(rng, 3 * n_slots, 8))
+        clustering = Clustering.from_labels(cache, np.arange(3 * n_slots) % n_slots)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run = run_merging(clustering)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(run.steps) == n_slots - 1
+        assert kept < 8 * n_slots**2 / 8
 
     def test_starts_from_a_clustering_with_empty_slots(self):
         rng = np.random.default_rng(13)
@@ -483,12 +521,7 @@ def synthetic_run(gammas, zetas, groups=5):
     steps = []
     k = groups
     for idx, (g, z) in enumerate(zip(gammas, zetas)):
-        steps.append(
-            MergeStep(
-                k=k, gamma=g, zeta=z, t=2, pair=(0, 1),
-                eta=np.array([g]), partners=np.array([1]),
-            )
-        )
+        steps.append(MergeStep(k=k, gamma=g, zeta=z, t=2, pair=(0, 1)))
         k -= 1
     return MergeRun(steps=steps, initial_labels=np.repeat(np.arange(groups), 3))
 

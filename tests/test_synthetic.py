@@ -52,6 +52,16 @@ class TestSpecs:
             DPSpec(n=10, N=50, rho=0.0, sigma=1.0)
         with pytest.raises(DegenerateInputError):
             DPSpec(n=10, N=50, rho=1.0, sigma=1.0, alpha=-1.0)
+        # A 0-dimensional point has norm 0, so the generator's redraw loop
+        # would never end; a negative n reaches numpy as a negative shape.
+        for n in (1, 0, -1):
+            with pytest.raises(DegenerateInputError, match="n >= 2"):
+                DPSpec(n=n, N=50, rho=1.0, sigma=1.0)
+        for name in ("rho", "sigma", "alpha"):
+            for value in (float("nan"), float("inf"), -float("inf"), 0.0):
+                spread = {"rho": 1.0, "sigma": 1.0, "alpha": 1.0, name: value}
+                with pytest.raises(DegenerateInputError, match=name):
+                    DPSpec(n=10, N=50, **spread)
 
 
 class TestSubspaceNormal:
