@@ -55,12 +55,19 @@ def chi2_cdf(x: float, k: float) -> float:
 
 def noncentral_chi2_cdf(x: float, k: float, lam: float) -> float:
     """CDF of the noncentral chi-squared distribution with k degrees of
-    freedom and noncentrality lam."""
+    freedom and noncentrality lam: at k = 1 the closed form for (Z + sqrt(lam))^2,
+    finite where ``chndtr`` is NaN (lam past about 1e9); else ``chndtr``."""
     if lam < 0.0:
         raise DomainError(f"noncentrality must be >= 0, got {lam}")
     if x <= 0.0:
         return 0.0
-    return float(special.chndtr(x, k, lam))
+    if k == 1:
+        root_x, root_lam = math.sqrt(x), math.sqrt(lam)
+        return float(special.ndtr(root_x - root_lam) - special.ndtr(-root_x - root_lam))
+    value = float(special.chndtr(x, k, lam))
+    if math.isnan(value):
+        raise DomainError(f"noncentral chi-squared CDF is undefined at x={x}, k={k}, lam={lam}")
+    return value
 
 
 @dataclass
@@ -136,10 +143,11 @@ def delta_t(t: int, params: SeparationParams) -> float:
 
 
 def psi(params: SeparationParams) -> float:
-    """Root of the sufficiency quadratic; always >= 1 on the valid domain."""
-    m1 = 1.0 + params.mean_sep
+    """Root of the sufficiency quadratic, always >= 1 on the valid domain,
+    in rationalized form: it neither cancels nor overflows."""
     r = params.var_ratio_sum
-    return (math.sqrt((r - 2.0) ** 2 * m1 * m1 + 32.0 * r * m1) - (r - 2.0) * m1) / 8.0
+    a = (r - 2.0) / r
+    return 4.0 / (a + math.sqrt(a * a + 32.0 / r / (1.0 + params.mean_sep)))
 
 
 def t_min(params: SeparationParams) -> int:
@@ -192,7 +200,6 @@ class BoundReport:
 
 def bound_report(t: int, params: SeparationParams) -> BoundReport:
     """Evaluate every bound quantity at one (t, separation) setting."""
-    tm1 = float(t - 1)
     try:
         tmin_value = t_min(params)
     except NoFiniteSampleSizeError:
@@ -204,5 +211,5 @@ def bound_report(t: int, params: SeparationParams) -> BoundReport:
         t_min_sufficient=tmin_value,
         psi=psi(params),
         alpha_t=alpha_t(t),
-        c=4.0 * (math.exp(2.0 / math.sqrt(tm1)) - 0.5),
+        c=4.0 * (math.exp(2.0 / math.sqrt(t - 1.0)) - 0.5),
     )

@@ -1,29 +1,21 @@
 """Agglomerative merge engine: ally-based seeding, score-driven merging,
 and threshold-based selection of the final cluster count.
 
-The engine never touches coordinates. It consumes an AngleCache once, to
-build per-cluster sufficient statistics, and from then on every merge is a
-purely additive update of those statistics: merging clusters a and b turns
-their cross-angle set into within-angle mass, so
+The engine never touches coordinates. It reads the AngleCache only while
+seeding, in two O(N^2 * n) passes: one for each point's two allies (the
+two largest |x . y| in its row), one for the per-cluster sufficient
+statistics. From then on every merge is a purely additive update of those
+statistics: merging clusters a and b turns their cross-angle set into
+within-angle mass, so
 
     within_new  = within_a + within_b + between_ab
     between_new,k = between_a,k + between_b,k   for every other k
 
 with no angle ever re-read. Clusters keep their P initial slots, so a
-merge costs O(P) for the statistics and distance refresh, with no
-per-merge copies. The merge loop caches each slot's row minimum and its
-partner (the nearest-neighbour caching of Muellner's generic algorithm,
-arXiv:1109.2378), so a merge also rescans, at O(P) each, only the merged
-row and the rows whose partner was one of the merged pair: merging is
-O(P^2) overall when few rows lose their partner per merge, and O(P^3) in
-the worst case. The loop's only state is the distance matrix and those
-cached minima; each K records O(1) values (score, threshold, sample
-budget, merged pair), so the trace is O(P) in all. Seeding costs
-O(N^2 * n): one pass over the rows of inner products, formed a block at a
-time, finds each point's two allies by ranking |x . y| and taking arccos
-of O(N) candidates in all, and one pass over the upper triangle of the
-angles, with the points in group order, builds the initial statistics
-through sparse one-hot products.
+merge costs O(P), with no per-merge copies. ``run_merging`` caches each
+slot's row minimum (Muellner, arXiv:1109.2378), so merging is O(P^2)
+overall when few rows lose their partner per merge, O(P^3) at worst, and
+its trace records O(1) values per K.
 """
 
 from __future__ import annotations
@@ -377,10 +369,10 @@ def initial_clustering(angles: AngleCache, seed: int) -> Clustering:
     Pass 1 walks the points in a ring from a seeded random start and opens
     a new cluster {p, ally1(p), ally2(p)} whenever all three are still
     unallocated. Pass 2 walks the ring again and attaches each leftover
-    point to its first ally's cluster, else its second ally's; if neither
-    ally is allocated yet, it joins the cluster of the nearest allocated
-    point, which guarantees termination. Every cluster ends with >= 3
-    points.
+    point to its first ally's cluster, else its second ally's. One of the
+    two is always allocated: pass 1 left p out only because an ally was
+    already allocated at p's visit, and no allocation is ever undone.
+    Every cluster ends with >= 3 points.
     """
     n = angles.n_points
     if n < 3:
@@ -399,15 +391,7 @@ def initial_clustering(angles: AngleCache, seed: int) -> Clustering:
             next_id += 1
     for offset in range(n):
         p = (start + offset) % n
-        if assign[p] >= 0:
-            continue
-        a1, a2 = allies[p]
-        if assign[a1] >= 0:
-            assign[p] = assign[a1]
-        elif assign[a2] >= 0:
-            assign[p] = assign[a2]
-        else:
-            allocated = np.where(assign >= 0)[0]
-            nearest = allocated[np.argmin(angles.acute_row(p)[allocated])]
-            assign[p] = assign[nearest]
+        if assign[p] < 0:
+            a1, a2 = allies[p]
+            assign[p] = assign[a1] if assign[a1] >= 0 else assign[a2]
     return Clustering.from_labels(angles, assign)

@@ -4,14 +4,11 @@ Every downstream stage works on angles between unit vectors, never on the
 raw coordinates, so the angle cache built here is the single source of
 geometric truth for the whole pipeline. It holds only the N x n unit
 points and computes angles a block of rows at a time, when a pass reads
-them; no N x N array is ever made. Seeding reads the angles in two
-passes of O(N^2 * n) each: ``two_nearest`` forms every full row of inner
-products once and ranks them by |x . y|, taking arccos of only a few
-candidates per row, to find each point's two allies; ``grouped_sums``
-takes the points in group order, forms the upper triangle of the angles
-once (arccos of N^2 / 2 entries) and aggregates the angle moments of a
-partition through a sparse one-hot matrix. Memory is O(N * n + _BLOCK *
-N + P^2) for P groups.
+them; no N x N array is ever made. Seeding makes two passes of
+O(N^2 * n) each: ``two_nearest`` over full rows of inner products, with
+no arccos, and ``grouped_sums`` over the upper triangle of the angles,
+with arccos of N^2 / 2 entries. Memory is O(N * n + _BLOCK * N + P^2)
+for P groups.
 """
 
 from __future__ import annotations
@@ -28,9 +25,6 @@ from .errors import DegenerateInputError, ZeroRowError
 _NORM_RANGE = (2.0**-500, 2.0**500)
 # Rows of the angle matrix formed at a time by the O(N^2) passes.
 _BLOCK = 256
-# Least gap between a row's third and fourth largest |x . y| for which the
-# ally search trusts the ranking by |x . y| without sorting the row's angles.
-_TIE_GAP = 1e-12
 
 
 @dataclass
@@ -114,8 +108,8 @@ class AngleCache:
     [-1, 1] before arccos, so near-parallel rows never yield NaN. No N x N
     array is ever made: each accessor computes the rows it needs as one
     matrix product of a block of at most _BLOCK rows against the points,
-    then clamps and takes arccos of the entries it reads, so the working
-    memory is O(N * n + _BLOCK * N) besides what an accessor returns.
+    so the working memory is O(N * n + _BLOCK * N) besides what an
+    accessor returns.
 
     ``reads`` counts accessor calls; the merge loop must leave it untouched
     once the initial statistics are built, which test builds assert.
@@ -135,56 +129,24 @@ class AngleCache:
         """Angles between two sets of rows of the points, len(rows) x len(cols)."""
         return _arccos(self._points[rows] @ self._points[cols].T)
 
-    def acute_row(self, i: int) -> np.ndarray:
-        """One row of acute angles min(theta, pi - theta), +inf at i itself.
-
-        The row comes from the product of the whole block of rows that
-        holds i, the block ``two_nearest`` forms, so it equals the row that
-        pass sorts for a near tie bit for bit.
-        """
-        self.reads += 1
-        start = i - i % _BLOCK
-        gram = self._points[start : start + _BLOCK] @ self._points.T
-        return _acute_row(gram[i - start], i)
-
     def two_nearest(self) -> np.ndarray:
         """Each point's two nearest neighbours under the acute angle, N x 2.
 
-        Ties resolve to the smaller point index, exactly as a stable sort of
-        the whole row would. The acute angle is arccos(|x . y|), which falls
-        as |x . y| grows, so each block of rows ranks its candidates on
-        |x . y| and takes arccos of only three per row: four argmax passes
-        find the four largest |x . y| of each row, and the first three are
-        ordered by their exact acute angles, then by index. That is exact
-        when the fourth lies more than _TIE_GAP below the third: arccos has
-        slope of magnitude at least 1, so the fourth's angle then exceeds
-        the third's by far more than the few ulps of pi the computed acute
-        angle is off arccos(|x . y|). Any other row (a near tie, a
-        duplicate point, or N = 3) is stable-sorted whole. One pass over
-        all N^2 inner products, O(N^2 * n), with arccos on O(N) of them.
+        The acute angle min(theta, pi - theta) = arccos|x . y| falls as
+        |x . y| grows, so the allies are the two largest |x . y| in the row,
+        the point itself left out: two argmax passes per block of rows, the
+        first occurrence (the smaller index) winning a tie. O(N^2 * n).
         """
         self.reads += 1
-        n = self.n_points
-        allies = np.empty((n, 2), dtype=np.int64)
-        for start in range(0, n, _BLOCK):
-            stop = min(start + _BLOCK, n)
-            gram = self._points[start:stop] @ self._points.T
-            rows = np.arange(stop - start)
-            score = np.abs(gram)
+        allies = np.empty((self.n_points, 2), dtype=np.int64)
+        for start in range(0, self.n_points, _BLOCK):
+            score = self._points[start : start + _BLOCK] @ self._points.T
+            np.abs(score, out=score)
+            rows = np.arange(score.shape[0])
             score[rows, start + rows] = -np.inf
-            top = np.empty((rows.size, 4), dtype=np.int64)
-            best = np.empty((rows.size, 4))
-            for k in range(4):
-                top[:, k] = np.argmax(score, axis=1)
-                best[:, k] = score[rows, top[:, k]]
-                score[rows, top[:, k]] = -np.inf
-            cand = top[:, :3]
-            values = _acute(np.take_along_axis(gram, cand, axis=1))
-            order = np.lexsort((cand, values))
-            allies[start:stop] = np.take_along_axis(cand, order[:, :2], axis=1)
-            for r in np.flatnonzero(~(best[:, 3] < best[:, 2] - _TIE_GAP)):
-                row = _acute_row(gram[r], start + r)
-                allies[start + r] = np.argsort(row, kind="stable")[:2]
+            first = np.argmax(score, axis=1)
+            score[rows, first] = -np.inf
+            allies[start + rows] = np.column_stack((first, np.argmax(score, axis=1)))
         return allies
 
     def cross_values(self, idx_a: np.ndarray, idx_b: np.ndarray) -> np.ndarray:
@@ -269,21 +231,6 @@ def _arccos(gram: np.ndarray) -> np.ndarray:
     return np.arccos(gram, out=gram)
 
 
-def _acute(gram: np.ndarray) -> np.ndarray:
-    """min(theta, pi - theta) of inner products, overwriting ``gram``."""
-    theta = _arccos(gram)
-    acute = np.subtract(np.pi, theta)
-    return np.minimum(acute, theta, out=acute)
-
-
-def _acute_row(gram_row: np.ndarray, i: int) -> np.ndarray:
-    """The acute angles of point i's row of inner products, with +inf at i
-    itself so that neighbour searches skip the point."""
-    acute = _acute(gram_row.copy())
-    acute[i] = np.inf
-    return acute
-
-
 def compute_angles(data: DataSet) -> AngleCache:
     """The angle cache of an already-normalized dataset.
 
@@ -323,8 +270,5 @@ def load_points_csv(path, labeled: bool = False) -> DataSet:
 
 def save_points_csv(path, data: DataSet) -> None:
     """Write a dataset as CSV, appending the label column when present."""
-    if data.labels is not None:
-        out = np.hstack([data.points, data.labels[:, None].astype(np.float64)])
-    else:
-        out = data.points
+    out = data.points if data.labels is None else np.column_stack((data.points, data.labels))
     np.savetxt(path, out, delimiter=",")

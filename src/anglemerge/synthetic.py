@@ -156,12 +156,16 @@ def gen_dp(spec: DPSpec) -> DataSet:
             k = int(rng.choice(len(counts), p=probs))
             labels[i] = k
             counts[k] += 1
-    centroids = rng.normal(0.0, spec.rho, size=(len(counts), spec.n))
-    points = centroids[labels] + rng.normal(0.0, spec.sigma, size=(spec.N, spec.n))
-    bad = np.linalg.norm(points, axis=1) < ZERO_NORM_EPS
-    while bad.any():
-        points[bad] = centroids[labels[bad]] + rng.normal(
-            0.0, spec.sigma, size=(int(bad.sum()), spec.n)
-        )
-        bad = np.linalg.norm(points, axis=1) < ZERO_NORM_EPS
+    # A huge spread may overflow a coordinate (caught below) or a square in
+    # the norm (the row is then far from zero anyway).
+    with np.errstate(over="ignore", invalid="ignore"):
+        centroids = rng.normal(0.0, spec.rho, size=(len(counts), spec.n))
+        points = np.empty((spec.N, spec.n))
+        bad = np.ones(spec.N, dtype=bool)
+        while bad.any():
+            noise = rng.normal(0.0, spec.sigma, size=(int(bad.sum()), spec.n))
+            points[bad] = centroids[labels[bad]] + noise
+            bad = np.linalg.norm(points, axis=1) < ZERO_NORM_EPS
+    if not np.isfinite(points).all():
+        raise DegenerateInputError(f"rho={spec.rho}, sigma={spec.sigma} overflow a coordinate")
     return DataSet(points=points, labels=labels)

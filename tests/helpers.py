@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from anglemerge import geometry
+
 
 def unit_sphere_points(rng, n_points, dim):
     """I.i.d. uniform points on the unit sphere in R^dim."""
@@ -15,7 +17,14 @@ def angle_oracle(points):
     return np.arccos(np.clip(points @ points.T, -1.0, 1.0))
 
 
-def acute_matrix(cache):
-    """The N x N acute-angle matrix of an AngleCache, assembled one
-    ``acute_row`` at a time (+inf on the diagonal)."""
-    return np.array([cache.acute_row(i) for i in range(cache.n_points)])
+def ally_key(cache):
+    """-|x . y| for every pair of an AngleCache's points, +inf on the
+    diagonal, so that a stable sort of a row ranks its allies: larger
+    |x . y| (smaller acute angle) first, then the smaller index. The rows
+    come from the same _BLOCK-row products ``two_nearest`` forms, so the
+    key is bit-consistent with the library."""
+    points, block = cache._points, geometry._BLOCK
+    key = -np.abs(np.vstack([points[start : start + block] @ points.T
+                             for start in range(0, len(points), block)]))
+    np.fill_diagonal(key, np.inf)
+    return key

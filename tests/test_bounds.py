@@ -121,6 +121,21 @@ class TestNoncentralChi2:
         with pytest.raises(DomainError):
             noncentral_chi2_cdf(1.0, 1.0, -0.5)
 
+    def test_one_degree_against_high_precision_oracle(self):
+        # At k = 1 the variable is (Z + sqrt(lam))^2. delta_t's noncentrality
+        # t * mean_sep^2 passes 1e9, where scipy's chndtr returns NaN, as
+        # soon as mean_sep passes about 1e4.
+        for lam in (0.5, 20.0, 1e6, 1e10, 1e20, 1e300):
+            for x in (0.5, lam * 0.999, lam, lam * 1.001, lam * 1e3):
+                root_x, root_lam = mp.sqrt(x), mp.sqrt(lam)
+                expected = float(mp.ncdf(root_x - root_lam) - mp.ncdf(-root_x - root_lam))
+                assert noncentral_chi2_cdf(x, 1.0, lam) == pytest.approx(expected, abs=1e-12)
+        assert noncentral_chi2_cdf(10.0, 1.0, math.inf) == 0.0
+
+    def test_nan_from_scipy_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="undefined"):
+            noncentral_chi2_cdf(1e12, 4.0, 1e12)
+
 
 class TestEpsilonT:
     def test_reproduces_published_values(self):
@@ -195,6 +210,28 @@ class TestDeltaAndTmin:
         # every variance ratio.
         for r in (3.0, 10.0, 20.0, 100.0):
             assert psi(SeparationParams(3.0, r)) == pytest.approx(2.0, abs=1e-12)
+
+    def test_psi_against_high_precision_oracle(self):
+        # The root as written, (sqrt(b^2 + 32 r m1) - b) / 8 with
+        # b = (r - 2) m1, cancels once b is large; 1300 digits carry it
+        # through b^2 of up to 1e1232.
+        with mp.workdps(1300):
+            for m in (0.0, 1e-10, 0.5, 2.0, 1e8, 1e17, 1e100, 1e300, 1e308):
+                for r in (2.0, 2.0 + 1e-9, 3.0, 10.0, 1e8, 1e100, 1e300, 1e308):
+                    m1, rr = 1 + mp.mpf(m), mp.mpf(r)
+                    b = (rr - 2) * m1
+                    expected = float((mp.sqrt(b * b + 32 * rr * m1) - b) / 8)
+                    assert psi(SeparationParams(m, r)) == pytest.approx(expected, rel=1e-14)
+
+    def test_finite_at_huge_separation(self):
+        # As mean_sep grows, psi tends to 2r / (r - 2) and the mean term of
+        # delta_t to 1, so both settle at finite values.
+        for m in (1e10, 1e17, 1e308):
+            params = SeparationParams(m, 10.0)
+            assert psi(params) == pytest.approx(2.5, rel=1e-9)
+            assert t_min(params) == 21
+            assert delta_t(11, params) == pytest.approx(0.000211, abs=5e-7)
+        assert t_min(SeparationParams(0.0, 1e308)) == 35
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):

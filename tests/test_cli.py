@@ -290,6 +290,16 @@ class TestBounds:
         assert lines[1].startswith("40,")
 
 
+    @pytest.mark.parametrize(
+        "argv", [["--mean-sep", "1e10"], ["--mean-sep", "1e17"], ["--mean-sep", "1e308"],
+                 ["--var-ratio-sum", "1e308"]]
+    )
+    def test_huge_separation_prints_finite_values(self, capsys, argv):
+        assert run_cli("bounds", "--format", "json", *argv) == EXIT_OK
+        for row in json.loads(capsys.readouterr().out):
+            assert isinstance(row["t_min"], int)
+            assert np.isfinite([row["delta_t"], row["psi"]]).all()
+
     @pytest.mark.parametrize("t_list", [",", ""])
     def test_empty_t_list_is_a_typed_error(self, capsys, t_list):
         assert run_cli("bounds", "--t-list", t_list) == EXIT_ERROR
@@ -401,6 +411,21 @@ class TestErrorPaths:
         assert run_cli("synth", "--model", "dp", "--out", str(out), *argv) == EXIT_ERROR
         assert_one_line_error(capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("rho", ["1e200", "1e308"])
+    def test_huge_dp_spread_prints_no_warning(self, tmp_path, rho):
+        # At 1e200 the squares in the zero-norm check overflow, at 1e308 the
+        # coordinates themselves: the first succeeds with an empty stderr,
+        # the second is one error line naming the spread.
+        argv = ["synth", "--model", "dp", "--rho", rho, "--out", str(tmp_path / "dp.csv")]
+        result = subprocess.run([sys.executable, "-m", "anglemerge.cli", *argv],
+                                capture_output=True, text=True)
+        if rho == "1e200":
+            assert (result.returncode, result.stderr) == (EXIT_OK, "")
+        else:
+            assert result.returncode == EXIT_ERROR
+            assert_one_line_error(result.stderr)
+            assert "rho=1e+308" in result.stderr
 
     @pytest.mark.parametrize("command", ["cluster", "trace", "synth", "bench"])
     def test_negative_seed_is_rejected_by_every_command(self, capsys, command):

@@ -10,7 +10,7 @@ from anglemerge.geometry import (
     normalize_rows,
     save_points_csv,
 )
-from helpers import acute_matrix, angle_oracle, unit_sphere_points
+from helpers import ally_key, angle_oracle, unit_sphere_points
 
 
 class TestDataSet:
@@ -97,13 +97,9 @@ class TestComputeAngles:
     def test_identical_orthogonal_antipodal(self):
         points = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         cache = compute_angles(DataSet(points=points))
-        acute = acute_matrix(cache)
         assert theta(cache, 0, 1) == pytest.approx(0.0, abs=1e-12)
-        assert acute[0, 1] == pytest.approx(0.0, abs=1e-12)
         assert theta(cache, 0, 2) == pytest.approx(np.pi / 2, abs=1e-12)
-        assert acute[0, 2] == pytest.approx(np.pi / 2, abs=1e-12)
         assert theta(cache, 0, 3) == pytest.approx(np.pi, abs=1e-12)
-        assert acute[0, 3] == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_queries(self):
         rng = np.random.default_rng(0)
@@ -111,8 +107,6 @@ class TestComputeAngles:
         for i in range(12):
             for j in range(i + 1, 12):
                 assert theta(cache, i, j) == theta(cache, j, i)
-        acute = acute_matrix(cache)
-        np.testing.assert_array_equal(acute, acute.T)
 
     def test_reads_across_row_blocks_match_the_oracle(self):
         # 600 points span three blocks of rows, so (i, j) and (j, i) often
@@ -121,11 +115,6 @@ class TestComputeAngles:
         points = unit_sphere_points(rng, 600, 5)
         cache = compute_angles(DataSet(points=points))
         full = angle_oracle(points)
-        acute = acute_matrix(cache)
-        np.testing.assert_array_equal(acute, acute.T)
-        off = ~np.eye(600, dtype=bool)
-        np.testing.assert_allclose(acute[off], np.minimum(full, np.pi - full)[off],
-                                   rtol=0, atol=1e-12)
         idx = rng.permutation(600)[:550]
         np.testing.assert_allclose(cache.within_values(idx),
                                    full[np.ix_(idx, idx)][np.triu_indices(550, k=1)],
@@ -137,11 +126,12 @@ class TestComputeAngles:
         upper = np.triu_indices(40, k=1)
         values = cache.within_values(np.arange(40))
         assert ((0.0 <= values) & (values <= np.pi)).all()
-        acute = acute_matrix(cache)
+        # The acute angle min(theta, pi - theta) is arccos|x . y|, the fact
+        # the ally search ranks by.
         np.testing.assert_allclose(
-            acute[upper], np.minimum(values, np.pi - values), rtol=0, atol=1e-12
+            np.arccos(np.minimum(-ally_key(cache)[upper], 1.0)),
+            np.minimum(values, np.pi - values), rtol=0, atol=1e-12
         )
-        assert np.isposinf(np.diagonal(acute)).all()
 
     def test_near_parallel_rows_never_nan(self):
         base = np.ones((1, 4)) / 2.0
@@ -259,11 +249,10 @@ class TestAngleCacheAccess:
         cache = compute_angles(DataSet(points=unit_sphere_points(rng, 6, 3)))
         assert cache.reads == 0
         cache.cross_values(np.array([0]), np.array([1]))
-        cache.acute_row(2)
         cache.two_nearest()
         cache.within_values(np.array([0, 1, 2]))
         cache.grouped_sums(np.zeros(6, dtype=np.int64), 1)
-        assert cache.reads == 5
+        assert cache.reads == 4
 
 
 class TestCsv:

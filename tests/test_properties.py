@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from anglemerge import geometry
 from anglemerge.engine import (
     Clustering,
     MergeRun,
@@ -27,7 +26,7 @@ from anglemerge.errors import AngleMergeError
 from anglemerge.geometry import DataSet, compute_angles, normalize_rows
 from anglemerge.metrics import clustering_error, nmi
 from anglemerge.pipeline import cluster_dataset
-from helpers import acute_matrix, angle_oracle, unit_sphere_points
+from helpers import ally_key, angle_oracle, unit_sphere_points
 
 SMALL = settings(max_examples=60, deadline=None)
 
@@ -37,7 +36,7 @@ def point_sets(draw):
     """Random directions plus exact ties: repeated rows and antipodal copies.
 
     Coordinates are small integers, so many rows share a direction and
-    acute angles tie exactly; copies and negated copies of drawn rows add
+    |x . y| ties exactly; copies and negated copies of drawn rows add
     more ties at every neighbour rank.
     """
     dim = draw(st.integers(2, 4))
@@ -51,7 +50,7 @@ def point_sets(draw):
 
 def assert_two_nearest_matches_stable_sort(points):
     cache = compute_angles(normalize_rows(DataSet(points=points)))
-    expected = np.argsort(acute_matrix(cache), axis=1, kind="stable")[:, :2]
+    expected = np.argsort(ally_key(cache), axis=1, kind="stable")[:, :2]
     np.testing.assert_array_equal(cache.two_nearest(), expected)
 
 
@@ -77,7 +76,7 @@ def test_two_nearest_matches_stable_sort_across_row_blocks(seed, n_points):
     assert_two_nearest_matches_stable_sort(points)
 
 
-def test_two_nearest_sorts_a_tied_row_whole(monkeypatch):
+def test_two_nearest_sorts_a_tied_row_whole():
     # Point 0 and four copies of it, exact, negated or rescaled: each of
     # these five rows has its third and fourth largest |x . y| tied at 1.
     rng = np.random.default_rng(21)
@@ -85,12 +84,20 @@ def test_two_nearest_sorts_a_tied_row_whole(monkeypatch):
     copies = [3, 5, 8, 11]
     points[copies] = points[0] * np.array([[1.0], [-1.0], [3.0], [-0.5]])
     cache = compute_angles(normalize_rows(DataSet(points=points)))
-    expected = np.argsort(acute_matrix(cache), axis=1, kind="stable")[:, :2]
-    whole = []
-    acute_row = geometry._acute_row
-    monkeypatch.setattr(geometry, "_acute_row", lambda row, i: whole.append(i) or acute_row(row, i))
+    expected = np.argsort(ally_key(cache), axis=1, kind="stable")[:, :2]
     np.testing.assert_array_equal(cache.two_nearest(), expected)
-    assert set(whole) >= {0, *copies}
+
+
+def test_two_nearest_breaks_an_antipodal_tie_by_index():
+    # Rows 2 and 5 are x and -x, so point 3's inner products with them are
+    # exact negatives and tie in |x . y|, while their rounded acute angles,
+    # arccos(g) and pi - arccos(-g), differ by an ulp. Point 3's nearest
+    # ally is 4; of the tied pair, the smaller index must be the second.
+    points = np.array([[0, 0, 2], [3, -3, -2], [2, 3, -2],
+                       [-1, 3, -1], [-2, 2, -2], [-2, -3, 2]], dtype=np.float64)
+    unit = normalize_rows(DataSet(points=points)).points
+    assert unit[3] @ unit[2] == -(unit[3] @ unit[5])
+    np.testing.assert_array_equal(compute_angles(DataSet(points=unit)).two_nearest()[3], [4, 2])
 
 
 @pytest.mark.parametrize("n_points", [3, 4])

@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -185,6 +186,15 @@ class TestDirichletProcess:
         norms = np.linalg.norm(data.points, axis=1)
         assert norms.min() > 0.0
         assert norms.std() > 1e-3  # generation does not normalize
+
+    def test_huge_spread(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = gen_dp(DPSpec(n=10, N=60, rho=1e200, sigma=1.0, seed=13))
+            assert np.isfinite(data.points).all()
+            for rho, sigma in ((1e308, 1.0), (1.0, 1e308), (1e308, 1e308)):
+                with pytest.raises(DegenerateInputError, match="rho=.*sigma="):
+                    gen_dp(DPSpec(n=10, N=60, rho=rho, sigma=sigma, seed=13))
 
     def test_deterministic_per_seed(self):
         a = gen_dp(DPSpec(n=10, N=60, rho=4.0, sigma=1.0, alpha=1.0, seed=12))
