@@ -29,6 +29,10 @@ from .errors import DegenerateInputError, TooFewAnglesError
 from .geometry import AngleCache, integer_labels
 from .stats import bhattacharyya, moments, t_pair
 
+# Entries of d that distance_matrix computes at a time, in whole rows (at
+# least one): each temporary of a block is then about 128 KB.
+_DISTANCE_BLOCK = 2**14
+
 __all__ = [
     "Clustering",
     "ScoreSet",
@@ -144,8 +148,9 @@ def distance_matrix(clustering: Clustering) -> np.ndarray:
     """All pairwise slot distances d[k, l]; +inf on the diagonal and for empty slots.
 
     Not symmetric: d[k, l] judges the k-to-l cross angles against cluster
-    k's own within angles, d[l, k] against cluster l's. The statistics are
-    read whole, as views, whether or not some slots are empty.
+    k's own within angles, d[l, k] against cluster l's. d is filled a block
+    of about _DISTANCE_BLOCK entries at a time, whether or not some slots
+    are empty, so besides d the temporaries stay O(_DISTANCE_BLOCK).
     """
     _check_mergeable(clustering)
     # Live sizes are >= 3, so every count is above 1. An empty slot counts
@@ -153,8 +158,13 @@ def distance_matrix(clustering: Clustering) -> np.ndarray:
     # variance), as the diagonal's zero between sums do, until set to inf.
     sizes = np.maximum(clustering.sizes, 3).astype(np.float64)
     mean_w, var_w = moments(clustering.w_sum, clustering.w_sumsq, sizes * (sizes - 1.0) / 2.0)
-    mean_b, var_b = moments(clustering.b_sum, clustering.b_sumsq, np.outer(sizes, sizes))
-    d = bhattacharyya(mean_w[:, None], var_w[:, None], mean_b, var_b)
+    n_slots = sizes.size
+    d = np.empty((n_slots, n_slots))
+    step = max(1, _DISTANCE_BLOCK // n_slots)
+    for start in range(0, n_slots, step):
+        r = slice(start, start + step)
+        mean_b, var_b = moments(clustering.b_sum[r], clustering.b_sumsq[r], sizes[r, None] * sizes)
+        d[r] = bhattacharyya(mean_w[r, None], var_w[r, None], mean_b, var_b)
     empty = clustering.sizes == 0
     d[empty, :] = d[:, empty] = np.inf
     np.fill_diagonal(d, np.inf)

@@ -147,6 +147,7 @@ class AngleCache:
             first = np.argmax(score, axis=1)
             score[rows, first] = -np.inf
             allies[start + rows] = np.column_stack((first, np.argmax(score, axis=1)))
+            del score  # freed before the next block's product is formed
         return allies
 
     def cross_values(self, idx_a: np.ndarray, idx_b: np.ndarray) -> np.ndarray:
@@ -188,8 +189,10 @@ class AngleCache:
         onehot[g0:g1, I] @ theta[I, J] @ onehot[g0:, J].T, into rows g0..g1
         of an upper-triangular P x P matrix U. The pass costs O(N^2 * n)
         for the products, with arccos on the N^2 / 2 angles, and adds a
-        (g1 - g0) x (P - g0) array per block. The result U + U.T, with U's
-        own diagonal, is bitwise symmetric.
+        (g1 - g0) x (P - g0) array per block. U's strict upper triangle is
+        then copied onto its lower one in place, a strip of _BLOCK columns
+        at a time, so the two returned matrices are the only P x P arrays
+        made; they are bitwise symmetric.
         """
         self.reads += 1
         n = self.n_points
@@ -204,25 +207,31 @@ class AngleCache:
         onehot = csc_matrix((np.ones(n), (labels, np.arange(n))), shape=(n_groups, n))
         upper = np.zeros((n_groups, n_groups))
         upper_sq = np.zeros((n_groups, n_groups))
-        on_or_above = ~np.tri(_BLOCK, k=-1, dtype=bool)
+        below = np.tri(_BLOCK, k=-1, dtype=bool)
         for start in range(0, n, _BLOCK):
             stop = min(start + _BLOCK, n)
             size = stop - start
             # theta[start:, start:stop], the transpose of the block's rows
             # theta[start:stop, start:]: the sparse product reads it by rows.
             block = _arccos(points[start:] @ points[start:stop].T)
-            np.copyto(block[:size], 0.0, where=on_or_above[:size, :size])
+            np.copyto(block[:size], 0.0, where=~below[:size, :size])
             g0, g1 = labels[start], labels[stop - 1] + 1
             rows, cols = onehot[g0:g1, start:stop], onehot[g0:, start:]
-            upper[g0:g1, g0:] += rows @ (cols @ block).T
+            # scipy copies a dense operand that is not C-ordered while that
+            # operand and the result are alive; copied here, the untransposed
+            # product is freed before the result is allocated.
+            upper[g0:g1, g0:] += rows @ np.ascontiguousarray((cols @ block).T)
             np.square(block, out=block)
-            upper_sq[g0:g1, g0:] += rows @ (cols @ block).T
-        sums = []
-        for half in (upper, upper_sq):
-            total = half + half.T
-            np.fill_diagonal(total, np.diagonal(half))
-            sums.append(total)
-        return tuple(sums)
+            upper_sq[g0:g1, g0:] += rows @ np.ascontiguousarray((cols @ block).T)
+            del block  # freed before the next block's product is formed
+        for start in range(0, n_groups, _BLOCK):
+            stop = start + _BLOCK
+            for half in (upper, upper_sq):
+                half[stop:, start:stop] = half[start:stop, stop:].T
+                square = half[start:stop, start:stop]
+                strict = below[: len(square), : len(square)]
+                square[strict] = square.T[strict]
+        return upper, upper_sq
 
 
 def _arccos(gram: np.ndarray) -> np.ndarray:

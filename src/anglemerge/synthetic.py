@@ -37,7 +37,9 @@ class SubspaceSpec:
         if self.L < 1:
             raise DegenerateInputError(f"need L >= 1, got {self.L}")
         if self.N < 3 * self.L:
-            raise DegenerateInputError(f"need N >= 3L so clusters can have >= 3 points")
+            raise DegenerateInputError(
+                f"need N >= 3L so clusters can have >= 3 points, got N={self.N}, L={self.L}"
+            )
 
 
 @dataclass

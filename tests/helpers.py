@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 
 from anglemerge import geometry
@@ -28,3 +30,17 @@ def ally_key(cache):
                              for start in range(0, len(points), block)]))
     np.fill_diagonal(key, np.inf)
     return key
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and the most memory it held at once beyond what was
+    allocated before, in bytes, as tracemalloc sees it (numpy reports its
+    arrays there)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from anglemerge.engine import (
+    _DISTANCE_BLOCK,
     Clustering,
     MergeRun,
     MergeStep,
@@ -21,9 +22,9 @@ from anglemerge.engine import (
 )
 from anglemerge.errors import DegenerateInputError, TooFewAnglesError
 from anglemerge.geometry import DataSet, compute_angles, normalize_rows
-from anglemerge.stats import t_pair
+from anglemerge.stats import bhattacharyya, moments, t_pair
 from anglemerge.synthetic import SubspaceSpec, gen_subspace_dependent, gen_subspace_normal
-from helpers import unit_sphere_points
+from helpers import traced_peak, unit_sphere_points
 
 
 def make_cache(points):
@@ -125,12 +126,7 @@ class TestInitialClustering:
         n_points = 3000
         rng = np.random.default_rng(3)
         data = normalize_rows(DataSet(points=rng.standard_normal((n_points, 20))))
-        tracemalloc.start()
-        try:
-            initial_clustering(compute_angles(data), seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(initial_clustering, compute_angles(data), 0)
         assert peak < 8 * n_points**2 / 2
 
     def test_rejects_tiny_input(self):
@@ -142,6 +138,17 @@ class TestInitialClustering:
 
 class FakeTiny:
     n_points = 2
+
+
+def wide_clustering(n_slots=600, emptied=((0, 599), (300, 17), (451, 450))):
+    """n_slots slots of 3 random points each, with the given slot pairs
+    merged, so that some slots are empty."""
+    rng = np.random.default_rng(14)
+    cache = make_cache(unit_sphere_points(rng, 3 * n_slots, 8))
+    clustering = Clustering.from_labels(cache, np.arange(3 * n_slots) % n_slots)
+    for a, b in emptied:
+        clustering.merge(a, b)
+    return clustering
 
 
 class TestComputeScores:
@@ -208,6 +215,40 @@ class TestComputeScores:
         assert np.isfinite(scores.eta[live]).all()
         assert set(scores.pair) <= set(live)
         assert set(scores.partners[live].tolist()) <= set(live)
+
+    def test_distance_matrix_equals_the_one_shot_formula(self):
+        # d is built a block of rows at a time; at P=600 that is several
+        # blocks, and d must be bitwise the whole-matrix evaluation.
+        clustering = wide_clustering()
+        n_slots = clustering.sizes.size
+        assert _DISTANCE_BLOCK // n_slots < n_slots / 2
+        sizes = np.maximum(clustering.sizes, 3).astype(np.float64)
+        mean_w, var_w = moments(clustering.w_sum, clustering.w_sumsq, sizes * (sizes - 1) / 2)
+        mean_b, var_b = moments(clustering.b_sum, clustering.b_sumsq, np.outer(sizes, sizes))
+        want = bhattacharyya(mean_w[:, None], var_w[:, None], mean_b, var_b)
+        empty = clustering.sizes == 0
+        want[empty, :] = want[:, empty] = np.inf
+        np.fill_diagonal(want, np.inf)
+        assert np.array_equal(distance_matrix(clustering), want)
+
+
+class TestMemoryContract:
+    # One P x P float64 array at P=600 is 2.9 MB; the temporaries of one
+    # block of d take about 0.3 of that.
+    P_BY_P = 8 * 600**2
+
+    def test_distance_matrix_holds_d_and_one_block(self):
+        clustering = wide_clustering()
+        _, peak = traced_peak(distance_matrix, clustering)
+        assert peak <= 1.5 * self.P_BY_P
+
+    def test_run_merging_holds_its_copy_and_d(self):
+        # The input's copy is 2 P x P arrays and d is one; the merge loop
+        # itself adds O(P).
+        clustering = wide_clustering()
+        run, peak = traced_peak(run_merging, clustering)
+        assert run.initial_k == 597
+        assert peak <= 3.5 * self.P_BY_P
 
 
 class TestMergeStep:
@@ -374,12 +415,18 @@ class TestRunMerging:
             sizes[p] += sizes.pop(q)
 
     def test_input_not_mutated(self):
-        cache = make_cache(two_bundle_points())
-        clustering = Clustering.from_labels(cache, np.array([0, 0, 0, 1, 1, 1]))
-        before = clustering.labels.copy()
-        run_merging(clustering)
-        np.testing.assert_array_equal(clustering.labels, before)
-        assert clustering.k == 2
+        # Seven slots, one of them already emptied by a merge: run_merging
+        # merges a copy, and every array of its input stays bitwise as it was.
+        rng = np.random.default_rng(15)
+        cache = make_cache(unit_sphere_points(rng, 42, 8))
+        clustering = Clustering.from_labels(cache, np.arange(42) % 7)
+        clustering.merge(5, 2)
+        names = ["labels", "sizes", "w_sum", "w_sumsq", "b_sum", "b_sumsq"]
+        before = {name: getattr(clustering, name).copy() for name in names}
+        run = run_merging(clustering)
+        assert run.initial_k == 6
+        for name in names:
+            assert getattr(clustering, name).tobytes() == before[name].tobytes(), name
 
     def test_deterministic_trace(self):
         data, cache = fig_trace_scenario(seed=3)
@@ -491,9 +538,7 @@ class TestRunMerging:
         # The run keeps O(1) per K and the initial labels: with P=600 slots
         # that is well under an eighth of one P x P float64 array.
         n_slots = 600
-        rng = np.random.default_rng(14)
-        cache = make_cache(unit_sphere_points(rng, 3 * n_slots, 8))
-        clustering = Clustering.from_labels(cache, np.arange(3 * n_slots) % n_slots)
+        clustering = wide_clustering(n_slots, emptied=())
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anglemerge import geometry
 from anglemerge.engine import Clustering
 from anglemerge.errors import DegenerateInputError, ZeroRowError
 from anglemerge.geometry import (
@@ -10,7 +11,7 @@ from anglemerge.geometry import (
     normalize_rows,
     save_points_csv,
 )
-from helpers import ally_key, angle_oracle, unit_sphere_points
+from helpers import ally_key, angle_oracle, traced_peak, unit_sphere_points
 
 
 class TestDataSet:
@@ -243,6 +244,53 @@ class TestAngleCacheAccess:
         clustering = Clustering.from_labels(cache, rng.integers(0, 6, size=36))
         assert np.array_equal(clustering.b_sum, clustering.b_sum.T)
         assert np.array_equal(clustering.b_sumsq, clustering.b_sumsq.T)
+
+    @pytest.mark.parametrize("n_groups", [1, 300])
+    def test_grouped_sums_are_symmetric_and_match_the_value_sets(self, n_groups):
+        # 300 groups span two _BLOCK-wide strips of the in-place mirror, the
+        # second one partial; 1 group is a 1 x 1 result.
+        rng = np.random.default_rng(17)
+        n_points = 1000
+        cache = compute_angles(DataSet(points=unit_sphere_points(rng, n_points, 6)))
+        labels = rng.integers(0, n_groups, size=n_points)
+        labels[:n_groups] = np.arange(n_groups)
+        sums, sumsqs = cache.grouped_sums(labels, n_groups)
+        for matrix in (sums, sumsqs):
+            assert matrix.shape == (n_groups, n_groups)
+            assert np.array_equal(matrix, matrix.T)
+        members = [np.flatnonzero(labels == g) for g in range(n_groups)]
+        for g in range(n_groups):
+            values = cache.within_values(members[g])
+            np.testing.assert_allclose(sums[g, g], values.sum(), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(sumsqs[g, g], (values**2).sum(), rtol=1e-12, atol=0)
+        for k in sorted({0, 1, 255, 256, 257, n_groups - 1} & set(range(n_groups))):
+            for l in range(n_groups):
+                if l != k:
+                    values = cache.cross_values(members[k], members[l])
+                    np.testing.assert_allclose(sums[k, l], values.sum(), rtol=1e-12)
+                    np.testing.assert_allclose(sumsqs[k, l], (values**2).sum(), rtol=1e-12)
+
+    def test_two_nearest_holds_one_block(self):
+        # Each block of |x . y| is freed before the next product is formed.
+        n_points = 3000
+        rng = np.random.default_rng(18)
+        cache = compute_angles(DataSet(points=unit_sphere_points(rng, n_points, 8)))
+        _, peak = traced_peak(cache.two_nearest)
+        assert peak <= 1.5 * 8 * geometry._BLOCK * n_points
+
+    @pytest.mark.parametrize("n_points", [600, 3600])
+    def test_grouped_sums_hold_their_results_and_one_block(self, n_points):
+        # P=600 groups. Besides the two P x P results, the pass holds one
+        # block of angles and, for its sparse products, two _BLOCK x P
+        # arrays; one more such array is slack for the one-hot slices and
+        # index arrays. With 1 point per group, two more P x P arrays would
+        # break the limit; with 6, a second block would.
+        n_groups, block = 600, geometry._BLOCK
+        rng = np.random.default_rng(16)
+        cache = compute_angles(DataSet(points=unit_sphere_points(rng, n_points, 8)))
+        labels = rng.permutation(np.arange(n_points) % n_groups)
+        _, peak = traced_peak(cache.grouped_sums, labels, n_groups)
+        assert peak <= 8 * (2 * n_groups**2 + block * (n_points + 3 * n_groups))
 
     def test_read_counter_increments(self):
         rng = np.random.default_rng(8)

@@ -45,7 +45,7 @@ class TestSpecs:
             SubspaceSpec(n=10, r=10, L=2, N=60)
         with pytest.raises(DegenerateInputError):
             SubspaceSpec(n=10, r=1, L=2, N=60)
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DegenerateInputError, match=r"N >= 3L .*, got N=5, L=2$"):
             SubspaceSpec(n=10, r=3, L=2, N=5)
 
     def test_dp_spec_validation(self):
