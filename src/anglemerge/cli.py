@@ -329,6 +329,9 @@ def main(argv=None) -> int:
     except (AngleMergeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

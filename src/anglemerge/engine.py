@@ -4,7 +4,8 @@ and threshold-based selection of the final cluster count.
 The engine never touches coordinates. It reads the AngleCache only while
 seeding, in two O(N^2 * n) passes: one for each point's two allies (the
 two largest |x . y| in its row), one for the per-cluster sufficient
-statistics. From then on every merge is a purely additive update of those
+statistics, two symmetric P x P matrices with the within sums on the
+diagonal. From then on every merge is a purely additive update of those
 statistics: merging clusters a and b turns their cross-angle set into
 within-angle mass, so
 
@@ -12,10 +13,11 @@ within-angle mass, so
     between_new,k = between_a,k + between_b,k   for every other k
 
 with no angle ever re-read. Clusters keep their P initial slots, so a
-merge costs O(P), with no per-merge copies. ``run_merging`` caches each
-slot's row minimum (Muellner, arXiv:1109.2378), so merging is O(P^2)
-overall when few rows lose their partner per merge, O(P^3) at worst, and
-its trace records O(1) values per K.
+merge costs O(P), with no per-merge copies, and an emptied slot is left
+stale. ``run_merging`` caches each slot's row minimum (Muellner,
+arXiv:1109.2378), so merging is O(P^2) overall when few rows lose their
+partner per merge, O(P^3) at worst, and its trace records O(1) values
+per K.
 """
 
 from __future__ import annotations
@@ -52,21 +54,21 @@ __all__ = [
 class Clustering:
     """A partition of the points into P fixed slots, with additive angle statistics.
 
-    ``labels[i]`` is the slot of point i. Each slot holds the sufficient
-    statistics of its within-angle set; slot pair (k, l) holds those of the
-    cross-angle set. Between-matrices are symmetric with zero diagonal.
-    Counts are implied: C(size_k, 2) within, size_k * size_l between. A
-    merge relabels one slot's points, empties it and moves no other slot;
-    ``k`` counts the non-empty slots, ``live`` lists them.
+    ``labels[i]`` is the slot of point i. ``sums`` and ``sumsqs`` are the
+    symmetric P x P angle sums and squared sums that ``grouped_sums``
+    returns: entry (k, k) covers slot k's within-angle set, entry (k, l)
+    the k-l cross-angle set. Counts are implied: C(size_k, 2) within,
+    size_k * size_l between. A merge relabels one slot's points, empties
+    it and moves no other slot. A slot is dead when its size is 0; its
+    statistics are then stale and never read. ``k`` counts the live slots,
+    ``live`` lists them.
     """
 
-    def __init__(self, labels, w_sum, w_sumsq, b_sum, b_sumsq):
+    def __init__(self, labels, sums, sumsqs):
         self.labels = labels
-        self.sizes = np.bincount(labels, minlength=w_sum.size)
-        self.w_sum = w_sum
-        self.w_sumsq = w_sumsq
-        self.b_sum = b_sum
-        self.b_sumsq = b_sumsq
+        self.sizes = np.bincount(labels, minlength=sums.shape[0])
+        self.sums = sums
+        self.sumsqs = sumsqs
 
     @classmethod
     def from_labels(cls, angles: AngleCache, labels: np.ndarray) -> "Clustering":
@@ -78,13 +80,7 @@ class Clustering:
         """
         labels = integer_labels(labels, angles.n_points)
         values, slots = np.unique(labels, return_inverse=True)
-        k = values.size
-        b_sum, b_sumsq = angles.grouped_sums(slots, k)
-        w_sum = np.diagonal(b_sum).copy()
-        w_sumsq = np.diagonal(b_sumsq).copy()
-        np.fill_diagonal(b_sum, 0.0)
-        np.fill_diagonal(b_sumsq, 0.0)
-        return cls(slots, w_sum, w_sumsq, b_sum, b_sumsq)
+        return cls(slots, *angles.grouped_sums(slots, values.size))
 
     @property
     def k(self) -> int:
@@ -102,18 +98,17 @@ class Clustering:
         """Merge clusters a and b by additive statistic combination.
 
         Slot max(a, b) is folded into slot min(a, b) in place and left
-        empty; no other slot moves. Returns the merged cluster's slot.
+        dead: its row, its column and entry (p, q) go stale. No other slot
+        moves. Returns the merged cluster's slot.
         """
         if a == b or self.sizes[a] == 0 or self.sizes[b] == 0:
             raise DegenerateInputError(f"cannot merge slot {a} with slot {b}: same or empty slot")
         p, q = (a, b) if a < b else (b, a)
-        for w, b_mat in ((self.w_sum, self.b_sum), (self.w_sumsq, self.b_sumsq)):
-            w[p] += w[q] + b_mat[p, q]
-            b_mat[p, :] += b_mat[q, :]
-            b_mat[p, p] = b_mat[p, q] = 0.0
-            b_mat[:, p] = b_mat[p, :]
-            w[q] = 0.0
-            b_mat[q, :] = b_mat[:, q] = 0.0
+        for s in (self.sums, self.sumsqs):
+            within = s[p, p] + (s[q, q] + s[p, q])
+            s[p] += s[q]
+            s[p, p] = within
+            s[:, p] = s[p]
 
         self.labels[self.labels == q] = p
         self.sizes[p] += self.sizes[q]
@@ -130,10 +125,8 @@ class Clustering:
         if not np.array_equal(fresh.sizes, self.sizes[live]):
             return np.inf
         block = np.ix_(live, live)
-        stored = (self.w_sum[live], self.w_sumsq[live], self.b_sum[block], self.b_sumsq[block])
-        rebuilt = (fresh.w_sum, fresh.w_sumsq, fresh.b_sum, fresh.b_sumsq)
-        return max(float(np.max(np.abs(s - r) / np.maximum(np.abs(r), 1.0)))
-                   for s, r in zip(stored, rebuilt))
+        return max(float(np.max(np.abs(s[block] - r) / np.maximum(np.abs(r), 1.0)))
+                   for s, r in ((self.sums, fresh.sums), (self.sumsqs, fresh.sumsqs)))
 
 
 def _check_mergeable(clustering: Clustering) -> None:
@@ -147,23 +140,26 @@ def _check_mergeable(clustering: Clustering) -> None:
 def distance_matrix(clustering: Clustering) -> np.ndarray:
     """All pairwise slot distances d[k, l]; +inf on the diagonal and for empty slots.
 
-    Not symmetric: d[k, l] judges the k-to-l cross angles against cluster
-    k's own within angles, d[l, k] against cluster l's. d is filled a block
-    of about _DISTANCE_BLOCK entries at a time, whether or not some slots
-    are empty, so besides d the temporaries stay O(_DISTANCE_BLOCK).
+    Not symmetric: d[k, l] judges the k-to-l cross angles (entry (k, l) of
+    the statistics) against cluster k's own within angles (entry (k, k)),
+    d[l, k] against cluster l's. Stale statistics of empty slots are read
+    but never reach d. d is filled a block of about _DISTANCE_BLOCK entries
+    at a time, whether or not some slots are empty, so besides d the
+    temporaries stay O(_DISTANCE_BLOCK).
     """
     _check_mergeable(clustering)
     # Live sizes are >= 3, so every count is above 1. An empty slot counts
-    # as 3 points: its all-zero statistics then give finite entries (floored
-    # variance), as the diagonal's zero between sums do, until set to inf.
+    # as 3 points: its stale, finite sums then give finite entries, as the
+    # diagonal's within sums read as between sums do, until set to inf.
     sizes = np.maximum(clustering.sizes, 3).astype(np.float64)
-    mean_w, var_w = moments(clustering.w_sum, clustering.w_sumsq, sizes * (sizes - 1.0) / 2.0)
+    sums, sumsqs = clustering.sums, clustering.sumsqs
+    mean_w, var_w = moments(np.diagonal(sums), np.diagonal(sumsqs), sizes * (sizes - 1.0) / 2.0)
     n_slots = sizes.size
     d = np.empty((n_slots, n_slots))
     step = max(1, _DISTANCE_BLOCK // n_slots)
     for start in range(0, n_slots, step):
         r = slice(start, start + step)
-        mean_b, var_b = moments(clustering.b_sum[r], clustering.b_sumsq[r], sizes[r, None] * sizes)
+        mean_b, var_b = moments(sums[r], sumsqs[r], sizes[r, None] * sizes)
         d[r] = bhattacharyya(mean_w[r, None], var_w[r, None], mean_b, var_b)
     empty = clustering.sizes == 0
     d[empty, :] = d[:, empty] = np.inf
@@ -175,18 +171,17 @@ def _refresh_distance(d: np.ndarray, clustering: Clustering, kept: int, emptied:
     """Recompute row and column ``kept`` over the live slots after slot
     ``emptied`` merged into it, and set those of ``emptied`` to +inf.
 
-    The between matrices are symmetric, so the single moments row serves
+    The statistics matrices are symmetric, so the single moments row serves
     both directions: the whole per-merge distance update is O(P).
     """
     live = clustering.live
     sizes = clustering.sizes[live].astype(np.float64)
+    sums, sumsqs = clustering.sums, clustering.sumsqs
     mean_w, var_w = moments(
-        clustering.w_sum[live], clustering.w_sumsq[live], sizes * (sizes - 1.0) / 2.0
+        np.diagonal(sums)[live], np.diagonal(sumsqs)[live], sizes * (sizes - 1.0) / 2.0
     )
     at = int(np.searchsorted(live, kept))
-    mean_b, var_b = moments(
-        clustering.b_sum[kept, live], clustering.b_sumsq[kept, live], sizes[at] * sizes
-    )
+    mean_b, var_b = moments(sums[kept, live], sumsqs[kept, live], sizes[at] * sizes)
     d[kept, live] = bhattacharyya(mean_w[at], var_w[at], mean_b, var_b)
     d[live, kept] = bhattacharyya(mean_w, var_w, mean_b, var_b)
     d[kept, kept] = np.inf
@@ -330,23 +325,22 @@ def run_merging(initial: Clustering) -> MergeRun:
     work = initial.copy()
     d = distance_matrix(work)
     eta, partners = _row_minima(d)
-    live = work.sizes > 0
-    initial_labels = (np.cumsum(live) - 1)[initial.labels]
+    initial_labels = (np.cumsum(work.sizes > 0) - 1)[initial.labels]
     steps: list[MergeStep] = []
     for k in range(initial.k, 1, -1):
         i_star = int(np.argmin(eta))
         j_star = int(partners[i_star])
         t_k = t_pair(int(work.sizes[i_star]), int(work.sizes[j_star]))
-        pair = (int(np.count_nonzero(live[:i_star])), int(np.count_nonzero(live[:j_star])))
+        pair = (int(np.count_nonzero(work.sizes[:i_star])),
+                int(np.count_nonzero(work.sizes[:j_star])))
         steps.append(
             MergeStep(k=k, gamma=float(eta[i_star]), zeta=threshold(t_k), t=t_k, pair=pair)
         )
         if k > 2:
             kept = work.merge(i_star, j_star)
             emptied = max(i_star, j_star)
-            live[emptied] = False
             _refresh_distance(d, work, kept, emptied)
-            _update_minima(d, eta, partners, live, kept, emptied)
+            _update_minima(d, eta, partners, work.sizes > 0, kept, emptied)
     return MergeRun(steps=steps, initial_labels=initial_labels)
 
 

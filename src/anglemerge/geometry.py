@@ -178,7 +178,8 @@ class AngleCache:
         Returns (sum_matrix, sumsq_matrix), both n_groups x n_groups and
         symmetric. Off-diagonal entry (k, l) aggregates every cross angle
         between groups k and l once; diagonal entry (k, k) aggregates every
-        within-group angle of k once.
+        within-group angle of k once. This is the layout a ``Clustering``
+        holds, so its statistics are the two matrices as returned.
 
         The points are taken in the order of a stable sort by group, so a
         block of rows I holds one contiguous range of groups g0..g1. One

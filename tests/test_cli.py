@@ -405,6 +405,17 @@ class TestErrorPaths:
         assert run_cli(*argv) == EXIT_ERROR
         assert_one_line_error(capsys.readouterr().err)
 
+    def test_out_of_memory_is_one_error_line(self, subspace_csv, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 111. GiB for an array")
+
+        monkeypatch.setattr("anglemerge.cli.cluster_dataset", exhausted)
+        out = tmp_path / "run"
+        assert run_cli("cluster", "--input", str(subspace_csv), "--out", str(out)) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert err.startswith("error: out of memory: Unable to allocate")
+
     @pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "-1"], ["--alpha", "nan"]])
     def test_degenerate_dp_spec_is_a_typed_error(self, tmp_path, capsys, argv):
         out = tmp_path / "dp.csv"

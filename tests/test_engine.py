@@ -223,8 +223,9 @@ class TestComputeScores:
         n_slots = clustering.sizes.size
         assert _DISTANCE_BLOCK // n_slots < n_slots / 2
         sizes = np.maximum(clustering.sizes, 3).astype(np.float64)
-        mean_w, var_w = moments(clustering.w_sum, clustering.w_sumsq, sizes * (sizes - 1) / 2)
-        mean_b, var_b = moments(clustering.b_sum, clustering.b_sumsq, np.outer(sizes, sizes))
+        sums, sumsqs = clustering.sums, clustering.sumsqs
+        mean_w, var_w = moments(np.diagonal(sums), np.diagonal(sumsqs), sizes * (sizes - 1) / 2)
+        mean_b, var_b = moments(sums, sumsqs, np.outer(sizes, sizes))
         want = bhattacharyya(mean_w[:, None], var_w[:, None], mean_b, var_b)
         empty = clustering.sizes == 0
         want[empty, :] = want[:, empty] = np.inf
@@ -281,23 +282,19 @@ class TestMergeStep:
     def test_merge_moves_no_other_slot(self):
         clustering = self.six_slots()
         before = clustering.copy()
-        b_sum = clustering.b_sum
+        sums = clustering.sums
         assert clustering.merge(4, 1) == 1
-        assert clustering.b_sum is b_sum
+        assert clustering.sums is sums
         others = [0, 2, 3, 5]
         block = np.ix_(others, others)
         relabelled = np.where(before.labels == 4, 1, before.labels)
         np.testing.assert_array_equal(clustering.labels, relabelled)
-        for name in ("w_sum", "w_sumsq"):
-            np.testing.assert_array_equal(getattr(clustering, name)[others],
-                                          getattr(before, name)[others])
-        for name in ("b_sum", "b_sumsq"):
+        for name in ("sums", "sumsqs"):
             now, then = getattr(clustering, name), getattr(before, name)
             np.testing.assert_array_equal(now[block], then[block])
             np.testing.assert_array_equal(now[1, others], then[1, others] + then[4, others])
             np.testing.assert_array_equal(now[:, 1], now[1, :])
-            assert not now[4].any() and not now[:, 4].any() and now[1, 1] == 0.0
-        assert clustering.w_sum[4] == 0.0 and clustering.w_sumsq[4] == 0.0
+            assert now[1, 1] == then[1, 1] + (then[4, 4] + then[1, 4])
         assert clustering.sizes.tolist() == [6, 12, 6, 6, 0, 6]
         assert clustering.k == 5
         assert clustering.live.tolist() == [0, 1, 2, 3, 5]
@@ -328,11 +325,13 @@ class TestMergeStep:
         assert clustering.consistency_error(cache) < 1e-12
         assert cache.reads == reads + 1
 
-    @pytest.mark.parametrize("name, entry", [("w_sum", (2,)), ("w_sumsq", (0,)),
-                                             ("b_sum", (1, 3)), ("b_sumsq", (5, 0))])
-    def test_consistency_oracle_catches_a_perturbed_sum(self, name, entry):
+    # A within statistic (w_) is a diagonal entry, a between one (b_) is not.
+    @pytest.mark.parametrize("statistic, entry", [("w_sum", (2, 2)), ("w_sumsq", (0, 0)),
+                                                  ("b_sum", (1, 3)), ("b_sumsq", (5, 0))])
+    def test_consistency_oracle_catches_a_perturbed_sum(self, statistic, entry):
         clustering, cache = self.six_slots(), self.six_slots_cache()
-        getattr(clustering, name)[entry] *= 1.0 + 1e-6
+        matrix = clustering.sumsqs if statistic.endswith("sq") else clustering.sums
+        matrix[entry] *= 1.0 + 1e-6
         assert clustering.consistency_error(cache) > 1e-9
 
     def test_consistency_oracle_catches_a_moved_point(self):
@@ -421,7 +420,7 @@ class TestRunMerging:
         cache = make_cache(unit_sphere_points(rng, 42, 8))
         clustering = Clustering.from_labels(cache, np.arange(42) % 7)
         clustering.merge(5, 2)
-        names = ["labels", "sizes", "w_sum", "w_sumsq", "b_sum", "b_sumsq"]
+        names = ["labels", "sizes", "sums", "sumsqs"]
         before = {name: getattr(clustering, name).copy() for name in names}
         run = run_merging(clustering)
         assert run.initial_k == 6
@@ -611,3 +610,45 @@ class TestNoCacheReadsDuringMerge:
         run = run_merging(clustering)
         select_clustering(run)
         assert cache.reads == reads_before
+
+
+def merge_then_poison(monkeypatch):
+    """Make every merge set the emptied slot's row, column and diagonal of
+    both statistics matrices to NaN, so that any later read of them shows."""
+    merge = Clustering.merge
+
+    def poisoned(self, a, b):
+        kept = merge(self, a, b)
+        emptied = max(a, b)
+        for matrix in (self.sums, self.sumsqs):
+            matrix[emptied, :] = matrix[:, emptied] = np.nan
+        return kept
+
+    monkeypatch.setattr(Clustering, "merge", poisoned)
+
+
+class TestStaleSlotsAreNeverRead:
+    def test_run_merging_trace_is_unchanged(self, monkeypatch):
+        data, cache = fig_trace_scenario(seed=2)
+        clustering = initial_clustering(cache, seed=0)
+        stale = run_merging(clustering)
+        merge_then_poison(monkeypatch)
+        poisoned = run_merging(clustering)
+        assert stale.initial_labels.tobytes() == poisoned.initial_labels.tobytes()
+        assert [(s.k, s.gamma.hex(), s.zeta.hex(), s.t, s.pair) for s in stale.steps] == \
+               [(s.k, s.gamma.hex(), s.zeta.hex(), s.t, s.pair) for s in poisoned.steps]
+
+    def test_statistics_and_distances_are_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        cache = make_cache(unit_sphere_points(rng, 60, 10))
+        stale = Clustering.from_labels(cache, np.arange(60) % 12)
+        poisoned = stale.copy()
+        merge = Clustering.merge
+        merge_then_poison(monkeypatch)
+        for _ in range(6):
+            a, b = (int(slot) for slot in rng.choice(stale.live, size=2, replace=False))
+            merge(stale, a, b)
+            poisoned.merge(a, b)
+            assert np.isnan(poisoned.sums[max(a, b)]).all()
+            assert poisoned.consistency_error(cache) < 1e-9
+            assert np.array_equal(distance_matrix(poisoned), distance_matrix(stale))

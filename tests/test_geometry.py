@@ -242,8 +242,8 @@ class TestAngleCacheAccess:
         rng = np.random.default_rng(9)
         cache = compute_angles(DataSet(points=unit_sphere_points(rng, 36, 7)))
         clustering = Clustering.from_labels(cache, rng.integers(0, 6, size=36))
-        assert np.array_equal(clustering.b_sum, clustering.b_sum.T)
-        assert np.array_equal(clustering.b_sumsq, clustering.b_sumsq.T)
+        assert np.array_equal(clustering.sums, clustering.sums.T)
+        assert np.array_equal(clustering.sumsqs, clustering.sumsqs.T)
 
     @pytest.mark.parametrize("n_groups", [1, 300])
     def test_grouped_sums_are_symmetric_and_match_the_value_sets(self, n_groups):

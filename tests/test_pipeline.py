@@ -93,16 +93,44 @@ class TestClusterDataset:
         assert a.selection.l_hat == b.selection.l_hat
 
 
+def run_python(code, **env):
+    """stdout of ``code`` run in a fresh interpreter that imports this
+    package, with ``env`` added to the environment."""
+    src = str(Path(anglemerge.__file__).resolve().parents[1])
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, env=env, check=True)
+    return result.stdout.strip()
+
+
 def test_import_does_not_load_scipy_stats():
     # scipy.stats costs about half a second per import; the package needs
     # only scipy.special and scipy.optimize.
-    src = str(Path(anglemerge.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys, anglemerge; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert result.stdout.strip() == "False"
+    assert run_python("import sys, anglemerge; print('scipy.stats' in sys.modules)") == "False"
+
+
+RUN_HASH = """
+import hashlib
+from anglemerge import cluster_dataset
+from anglemerge.synthetic import SubspaceSpec, gen_subspace_normal
+run = cluster_dataset(gen_subspace_normal(SubspaceSpec(n=60, r=6, L=5, N=1000, seed=0)), seed=0)
+digest = hashlib.sha256()
+for s in run.merge_run.steps:
+    digest.update(repr((s.k, float(s.gamma).hex(), float(s.zeta).hex(), s.t, s.pair)).encode())
+digest.update(run.merge_run.initial_labels.tobytes())
+digest.update(run.labels.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    # Determinism for a given (input, seed) is a contract: the angle passes
+    # multiply blocks of rows, and the trace, the initial labels and the
+    # labels must not change with how BLAS splits those products.
+    one, two = (run_python(RUN_HASH, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
+    assert len(one) == 64
+    assert one == two
 
 
 def test_star_import_resolves_every_export():
