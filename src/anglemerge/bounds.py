@@ -2,17 +2,15 @@
 
 The incomplete beta and gamma functions and the noncentral chi-squared CDF
 come from ``scipy.special``; the wrappers here only add the domain checks
-that turn invalid arguments into ``DomainError``. Only ``scipy.special`` is
-imported: ``scipy.stats`` would add about half a second to every import of
-the package.
+that turn invalid arguments into ``DomainError``. ``scipy.special`` is
+imported when a wrapper first needs it, and ``scipy.stats`` (about half a
+second to load) never, so an import of the package loads neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import special
 
 from .errors import DomainError, NoFiniteSampleSizeError
 
@@ -23,6 +21,10 @@ def reg_inc_gamma_p(a: float, x: float) -> float:
         raise DomainError(f"gamma shape must be positive, got a={a}")
     if x < 0.0:
         raise DomainError(f"gamma argument must be >= 0, got x={x}")
+    # Imported here, not with the module: a process that computes no bound
+    # should not pay the load of scipy.special.
+    from scipy import special
+
     return float(special.gammainc(a, x))
 
 
@@ -32,6 +34,8 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         raise DomainError(f"beta shapes must be positive, got a={a}, b={b}")
     if x < 0.0 or x > 1.0:
         raise DomainError(f"beta argument must be in [0, 1], got x={x}")
+    from scipy import special
+
     return float(special.betainc(a, b, x))
 
 
@@ -61,6 +65,8 @@ def noncentral_chi2_cdf(x: float, k: float, lam: float) -> float:
         raise DomainError(f"noncentrality must be >= 0, got {lam}")
     if x <= 0.0:
         return 0.0
+    from scipy import special
+
     if k == 1:
         root_x, root_lam = math.sqrt(x), math.sqrt(lam)
         return float(special.ndtr(root_x - root_lam) - special.ndtr(-root_x - root_lam))

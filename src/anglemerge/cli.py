@@ -64,7 +64,9 @@ def _load_label_file(path) -> np.ndarray:
 
 
 def _save_label_file(path, labels: np.ndarray) -> None:
-    np.savetxt(path, labels, fmt="%d")
+    # The bytes of np.savetxt(path, labels, fmt="%d"), without its Python
+    # loop over the rows.
+    Path(path).write_text("\n".join(map(str, labels.tolist())) + "\n")
 
 
 def _make_report(run: ClusterRun, seed: int) -> dict:

@@ -381,21 +381,23 @@ def initial_clustering(angles: AngleCache, seed: int) -> Clustering:
     n = angles.n_points
     if n < 3:
         raise DegenerateInputError(f"initial clustering needs >= 3 points, got {n}")
-    allies = angles.two_nearest()
+    # The ring loops index Python lists: numpy scalar indexing costs several
+    # times more per access.
+    allies = angles.two_nearest().tolist()
     rng = np.random.default_rng(seed)
     start = int(rng.integers(n))
 
-    assign = np.full(n, -1, dtype=np.int64)
+    assign = [-1] * n
     next_id = 0
     for offset in range(n):
         p = (start + offset) % n
         a1, a2 = allies[p]
         if assign[p] < 0 and assign[a1] < 0 and assign[a2] < 0:
-            assign[[p, a1, a2]] = next_id
+            assign[p] = assign[a1] = assign[a2] = next_id
             next_id += 1
     for offset in range(n):
         p = (start + offset) % n
         if assign[p] < 0:
             a1, a2 = allies[p]
             assign[p] = assign[a1] if assign[a1] >= 0 else assign[a2]
-    return Clustering.from_labels(angles, assign)
+    return Clustering.from_labels(angles, np.array(assign, dtype=np.int64))

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix
 
 from .errors import DegenerateInputError, ZeroRowError
 
@@ -195,6 +194,11 @@ class AngleCache:
         at a time, so the two returned matrices are the only P x P arrays
         made; they are bitwise symmetric.
         """
+        # Imported here, not with the module: scipy.sparse takes about 0.2 s
+        # to load, which a process that never clusters (`anglemerge synth`,
+        # `eval`, `bounds`) should not pay.
+        from scipy.sparse import csc_matrix
+
         self.reads += 1
         n = self.n_points
         assignment = np.asarray(assignment, dtype=np.int64)

@@ -4,7 +4,6 @@ reassignment, and normalized mutual information."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DegenerateInputError
 
@@ -37,6 +36,10 @@ def clustering_error(truth, pred) -> float:
     gracefully: when there are more predicted clusters than true ones, the
     unmatched predicted clusters count entirely as errors.
     """
+    # Imported here, not with the module: scipy.optimize takes about 0.2 s
+    # to load, and only a run scored against known labels needs it.
+    from scipy.optimize import linear_sum_assignment
+
     truth, pred = _dense_pair(truth, pred)
     table = _confusion(truth, pred)
     side = max(table.shape)

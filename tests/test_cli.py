@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from anglemerge.cli import EXIT_ERROR, EXIT_NO_CROSSING, EXIT_OK, main
+from anglemerge.cli import EXIT_ERROR, EXIT_NO_CROSSING, EXIT_OK, _save_label_file, main
 from anglemerge.geometry import DataSet, save_points_csv
 from helpers import unit_sphere_points
 
@@ -48,6 +48,12 @@ class TestSynthAndCluster:
         assert len(report["trace"]) == report["initial_k"] - 1
         labels = np.loadtxt(out / "labels.csv", dtype=int)
         assert labels.shape == (400,)
+
+    def test_label_file_has_the_bytes_of_savetxt(self, tmp_path):
+        labels = np.array([0, 3, 12, 130, 4096, -1, 2**62], dtype=np.int64)
+        _save_label_file(tmp_path / "labels.csv", labels)
+        np.savetxt(tmp_path / "expected.csv", labels, fmt="%d")
+        assert (tmp_path / "labels.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_unlabeled_report_omits_metrics(self, subspace_csv, tmp_path):
         unlabeled = tmp_path / "points.csv"

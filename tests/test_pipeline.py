@@ -104,10 +104,32 @@ def run_python(code, **env):
     return result.stdout.strip()
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats costs about half a second per import; the package needs
-    # only scipy.special and scipy.optimize.
-    assert run_python("import sys, anglemerge; print('scipy.stats' in sys.modules)") == "False"
+LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+
+
+@pytest.mark.parametrize("entry", [
+    "import anglemerge",
+    "import anglemerge.cli",
+    "from anglemerge import cli; cli.main(['synth', '--model', 'normal', '--n', '20', '--r', '2',"
+    " '--l', '2', '--num-points', '30', '--seed', '0', '--out', OUT])",
+], ids=["package", "cli", "synth"])
+def test_entry_point_loads_no_scipy_module(entry, tmp_path):
+    # Each scipy module the package uses takes about 0.2 s to load, so it is
+    # imported by the function that needs it, not by the package.
+    out = run_python(f"import sys\nOUT = {str(tmp_path / 'synth.csv')!r}\n{entry}\n{LOADED_SCIPY}")
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_clustering_loads_scipy_sparse_but_not_scipy_stats():
+    # scipy.stats would cost about half a second; the bounds use scipy.special.
+    out = run_python(
+        "import sys\n"
+        "from anglemerge import cluster_dataset\n"
+        "from anglemerge.synthetic import SubspaceSpec, gen_subspace_normal\n"
+        "cluster_dataset(gen_subspace_normal(SubspaceSpec(n=20, r=2, L=2, N=60, seed=0)), seed=0)\n"
+        "print('scipy.sparse' in sys.modules, 'scipy.stats' in sys.modules)"
+    )
+    assert out == "True False"
 
 
 RUN_HASH = """
