@@ -4,31 +4,36 @@ and threshold-based selection of the final cluster count.
 The engine never touches coordinates. It reads the AngleCache only while
 seeding, in two O(N^2 * n) passes: one for each point's two allies (the
 two largest |x . y| in its row), one for the per-cluster sufficient
-statistics, two symmetric P x P matrices with the within sums on the
-diagonal. From then on every merge is a purely additive update of those
-statistics: merging clusters a and b turns their cross-angle set into
-within-angle mass, so
+statistics, one P x P x 2 store of symmetric (sum, sum of squares) pairs
+with the within sums on the diagonal. From then on every merge is a
+purely additive update of those statistics: merging clusters a and b
+turns their cross-angle set into within-angle mass, so
 
     within_new  = within_a + within_b + between_ab
     between_new,k = between_a,k + between_b,k   for every other k
 
 with no angle ever re-read. Clusters keep their P initial slots, so a
-merge costs O(P), with no per-merge copies, and an emptied slot is left
-stale. ``run_merging`` caches each slot's row minimum (Muellner,
-arXiv:1109.2378), so merging is O(P^2) overall when few rows lose their
-partner per merge, O(P^3) at worst, and its trace records O(1) values
-per K.
+merge costs O(P), with no per-merge copies. A merge of slot q into slot
+p reads statistics rows p and q and writes row p and, in one strided
+pass, column p; in the distance matrix d it writes row p whole and
+column p in one strided pass, both from one ``moments`` and one
+``bhattacharyya`` call over all P slots. It reads no column. The emptied
+slot's rows and columns, of the statistics and of d, are left stale and
+masked wherever a whole row is read. ``run_merging`` caches each slot's
+row minimum (Muellner, arXiv:1109.2378), so merging is O(P^2) overall
+when few rows lose their partner per merge, O(P^3) at worst, and its
+trace records O(1) values per K.
 """
 
 from __future__ import annotations
 
-from copy import deepcopy
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInputError, TooFewAnglesError
-from .geometry import AngleCache, integer_labels
+from .geometry import AngleCache, integer_labels, integer_seed
 from .stats import bhattacharyya, moments, t_pair
 
 # Entries of d that distance_matrix computes at a time, in whole rows (at
@@ -54,21 +59,26 @@ __all__ = [
 class Clustering:
     """A partition of the points into P fixed slots, with additive angle statistics.
 
-    ``labels[i]`` is the slot of point i. ``sums`` and ``sumsqs`` are the
-    symmetric P x P angle sums and squared sums that ``grouped_sums``
-    returns: entry (k, k) covers slot k's within-angle set, entry (k, l)
-    the k-l cross-angle set. Counts are implied: C(size_k, 2) within,
-    size_k * size_l between. A merge relabels one slot's points, empties
-    it and moves no other slot. A slot is dead when its size is 0; its
-    statistics are then stale and never read. ``k`` counts the live slots,
-    ``live`` lists them.
+    ``labels[i]`` is the slot of point i. ``stats`` is the symmetric
+    P x P x 2 store that ``grouped_sums`` fills: stats[k, l] is the
+    (sum, sum of squares) pair of the k-l cross-angle set, and stats[k, k]
+    that of slot k's within-angle set. ``sums`` and ``sumsqs`` are its two
+    P x P halves, writable views.
+    Counts are implied: C(size_k, 2) within, size_k * size_l between. A
+    merge relabels one slot's points, empties it and moves no other slot.
+    A slot is dead when its size is 0; its statistics are then stale and
+    never read. ``k`` counts the live slots, ``live`` lists them.
     """
 
-    def __init__(self, labels, sums, sumsqs):
+    def __init__(self, labels, stats):
         self.labels = labels
-        self.sizes = np.bincount(labels, minlength=sums.shape[0])
-        self.sums = sums
-        self.sumsqs = sumsqs
+        self.sizes = np.bincount(labels, minlength=stats.shape[0])
+        self.stats = stats
+        self.sums, self.sumsqs = stats[..., 0], stats[..., 1]
+        # Each (sum, sum of squares) pair as one complex number: complex
+        # addition is componentwise, so a merge updates both halves in one
+        # pass with the same float additions.
+        self._pairs = stats.view(np.complex128)[..., 0]
 
     @classmethod
     def from_labels(cls, angles: AngleCache, labels: np.ndarray) -> "Clustering":
@@ -80,7 +90,8 @@ class Clustering:
         """
         labels = integer_labels(labels, angles.n_points)
         values, slots = np.unique(labels, return_inverse=True)
-        return cls(slots, *angles.grouped_sums(slots, values.size))
+        sums, _ = angles.grouped_sums(slots, values.size)
+        return cls(slots, sums.base)
 
     @property
     def k(self) -> int:
@@ -92,23 +103,31 @@ class Clustering:
         return np.flatnonzero(self.sizes)
 
     def copy(self) -> "Clustering":
-        return deepcopy(self)
+        return Clustering(self.labels.copy(), self.stats.copy())
 
     def merge(self, a: int, b: int) -> int:
         """Merge clusters a and b by additive statistic combination.
 
-        Slot max(a, b) is folded into slot min(a, b) in place and left
-        dead: its row, its column and entry (p, q) go stale. No other slot
-        moves. Returns the merged cluster's slot.
+        Slot q = max(a, b) is folded into slot p = min(a, b) in place and
+        left dead: its row, its column and entry (p, q) go stale. Row q is
+        added into row p and row p copied onto column p, each
+        (sum, sum of squares) pair moved as one complex number, so the
+        column is one strided pass. No other slot moves. Returns p. Raises
+        DegenerateInputError for a slot outside 0..P-1, the same slot
+        twice or an empty slot, and then changes nothing.
         """
+        n_slots = self.sizes.shape[0]
+        if not (0 <= a < n_slots and 0 <= b < n_slots):
+            raise DegenerateInputError(
+                f"cannot merge slot {a} with slot {b}: slots are 0..{n_slots - 1}")
         if a == b or self.sizes[a] == 0 or self.sizes[b] == 0:
             raise DegenerateInputError(f"cannot merge slot {a} with slot {b}: same or empty slot")
         p, q = (a, b) if a < b else (b, a)
-        for s in (self.sums, self.sumsqs):
-            within = s[p, p] + (s[q, q] + s[p, q])
-            s[p] += s[q]
-            s[p, p] = within
-            s[:, p] = s[p]
+        s = self._pairs
+        within = s[p, p] + (s[q, q] + s[p, q])
+        s[p] += s[q]
+        s[p, p] = within
+        s[:, p] = s[p]
 
         self.labels[self.labels == q] = p
         self.sizes[p] += self.sizes[q]
@@ -137,6 +156,13 @@ def _check_mergeable(clustering: Clustering) -> None:
         raise TooFewAnglesError(f"every cluster needs >= 3 points, smallest has {smallest}")
 
 
+def _within_moments(clustering: Clustering, sizes: np.ndarray):
+    """Each slot's within mean and variance, from the statistics' diagonal
+    and the float slot sizes given."""
+    return moments(np.diagonal(clustering.sums), np.diagonal(clustering.sumsqs),
+                   sizes * (sizes - 1.0) / 2.0)
+
+
 def distance_matrix(clustering: Clustering) -> np.ndarray:
     """All pairwise slot distances d[k, l]; +inf on the diagonal and for empty slots.
 
@@ -153,7 +179,7 @@ def distance_matrix(clustering: Clustering) -> np.ndarray:
     # diagonal's within sums read as between sums do, until set to inf.
     sizes = np.maximum(clustering.sizes, 3).astype(np.float64)
     sums, sumsqs = clustering.sums, clustering.sumsqs
-    mean_w, var_w = moments(np.diagonal(sums), np.diagonal(sumsqs), sizes * (sizes - 1.0) / 2.0)
+    mean_w, var_w = _within_moments(clustering, sizes)
     n_slots = sizes.size
     d = np.empty((n_slots, n_slots))
     step = max(1, _DISTANCE_BLOCK // n_slots)
@@ -167,25 +193,50 @@ def distance_matrix(clustering: Clustering) -> np.ndarray:
     return d
 
 
-def _refresh_distance(d: np.ndarray, clustering: Clustering, kept: int, emptied: int) -> None:
-    """Recompute row and column ``kept`` over the live slots after slot
-    ``emptied`` merged into it, and set those of ``emptied`` to +inf.
+def _merge_state(clustering: Clustering):
+    """What the merge loop keeps beside ``clustering``: d; each slot's size
+    as a float count, an empty slot counted as 3 points as in
+    ``distance_matrix``; a 2 x 2 x P array whose [:, 1] holds each slot's
+    within mean and variance ([:, 0] is ``_refresh_distance``'s scratch);
+    and ``floor``, -inf at a live slot and +inf at an empty one, which
+    ``np.fmax`` lays over a row of distances to mask the empty slots."""
+    d = distance_matrix(clustering)
+    weights = np.maximum(clustering.sizes, 3).astype(np.float64)
+    within = np.empty((2, 2, weights.size))
+    within[:, 1] = _within_moments(clustering, weights)
+    floor = np.where(clustering.sizes == 0, np.inf, -np.inf)
+    return d, weights, within, floor
 
-    The statistics matrices are symmetric, so the single moments row serves
-    both directions: the whole per-merge distance update is O(P).
+
+def _refresh_distance(d: np.ndarray, clustering: Clustering, weights: np.ndarray,
+                      within: np.ndarray, floor: np.ndarray, kept: int) -> np.ndarray:
+    """Recompute row and column ``kept`` of d after a merge into slot
+    ``kept``, and the slot's entries of ``weights`` and ``within``; returns
+    the fresh column. ``floor`` marks the empty slots, the one just emptied
+    included.
+
+    One ``moments`` call over statistics row ``kept`` gives the between
+    moments against every slot and, at index ``kept`` (count C(n, 2)), the
+    slot's own within moments. The statistics are symmetric, so one
+    ``bhattacharyya`` call over a 2 x P stack gives both directions: slot
+    ``kept``'s within moments against every row entry, and every slot's
+    against it. Empty slots and the diagonal read +inf, and the row and the
+    column are each written once, whole. Rows and columns of empty slots
+    are left stale: a rescan masks them (``_update_minima``).
     """
-    live = clustering.live
-    sizes = clustering.sizes[live].astype(np.float64)
-    sums, sumsqs = clustering.sums, clustering.sumsqs
-    mean_w, var_w = moments(
-        np.diagonal(sums)[live], np.diagonal(sumsqs)[live], sizes * (sizes - 1.0) / 2.0
-    )
-    at = int(np.searchsorted(live, kept))
-    mean_b, var_b = moments(sums[kept, live], sumsqs[kept, live], sizes[at] * sizes)
-    d[kept, live] = bhattacharyya(mean_w[at], var_w[at], mean_b, var_b)
-    d[live, kept] = bhattacharyya(mean_w, var_w, mean_b, var_b)
-    d[kept, kept] = np.inf
-    d[emptied, :] = d[:, emptied] = np.inf
+    n = int(clustering.sizes[kept])
+    weights[kept] = n
+    count = weights[kept] * weights
+    count[kept] = n * (n - 1.0) / 2.0
+    mean, var = moments(clustering.sums[kept], clustering.sumsqs[kept], count)
+    mean_w, var_w = within
+    mean_w[:, kept], var_w[:, kept] = mean[kept], var[kept]
+    mean_w[0], var_w[0] = mean[kept], var[kept]
+    fresh = np.fmax(bhattacharyya(mean_w, var_w, mean, var), floor)
+    fresh[:, kept] = np.inf
+    d[kept] = fresh[0]
+    d[:, kept] = fresh[1]
+    return fresh[1]
 
 
 @dataclass
@@ -221,29 +272,29 @@ def _row_minima(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[np.arange(rows.shape[0]), partners], partners
 
 
-def _update_minima(d: np.ndarray, eta: np.ndarray, partners: np.ndarray,
-                   live: np.ndarray, kept: int, emptied: int) -> None:
+def _update_minima(d: np.ndarray, eta: np.ndarray, partners: np.ndarray, column: np.ndarray,
+                   floor: np.ndarray, kept: int, emptied: int) -> None:
     """Bring the cached row minima up to date after ``_refresh_distance``
-    merged slot ``emptied`` into slot ``kept``; ``live`` masks the live slots.
+    merged slot ``emptied`` into slot ``kept`` and returned ``column``, the
+    new column ``kept``; ``floor`` marks the empty slots.
 
-    Only column ``kept`` changed in the rows other than ``kept``, and column
-    ``emptied`` became +inf. Row ``kept`` and every live row whose partner
-    was ``kept`` or ``emptied`` are rescanned in full. Every other row takes
-    ``kept`` when its new distance is smaller than the cached minimum, or
-    equal with ``kept`` the smaller column, as argmin's first-occurrence
-    rule would. Every live row then equals ``_row_minima(d)`` bitwise, and
-    slot ``emptied`` scores +inf; empty slots keep +inf with stale partners.
+    Slot ``emptied`` now scores +inf with partner -1, as every empty slot
+    does, so no partner names an empty slot. Only column ``kept`` changed
+    in the rows other than ``kept``. Row ``kept`` and every row whose
+    partner was ``kept`` or ``emptied`` are rescanned in full, from a copy
+    whose empty columns read +inf. Every other row takes ``kept`` when its
+    new distance is smaller than the cached minimum, or equal with ``kept``
+    the smaller column, as argmin's first-occurrence rule would. Every live
+    row then equals ``_row_minima`` of the live block bitwise.
     """
+    eta[emptied], partners[emptied] = np.inf, -1
     rescan = (partners == kept) | (partners == emptied)
-    rescan &= live
     rescan[kept] = True
-    column = d[:, kept]
     take = (column < eta) | ((column == eta) & (kept < partners))
-    eta[take] = column[take]
-    partners[take] = kept
+    np.copyto(eta, column, where=take)
+    np.copyto(partners, kept, where=take)
     rows = np.flatnonzero(rescan)
-    eta[rows], partners[rows] = _row_minima(d[rows])
-    eta[emptied] = np.inf
+    eta[rows], partners[rows] = _row_minima(np.fmax(d.take(rows, axis=0), floor))
 
 
 def merge_step(clustering: Clustering, pair: tuple[int, int]) -> Clustering:
@@ -291,6 +342,8 @@ class MergeRun:
     def labels_at(self, k: int) -> np.ndarray:
         """Per-point labels of the clustering with k clusters, by replaying
         the first initial_k - k merges."""
+        if not isinstance(k, (int, np.integer)):
+            raise DegenerateInputError(f"k must be an integer, got {k!r}")
         if k == 1:
             return np.zeros_like(self.initial_labels)
         if not 2 <= k <= self.initial_k:
@@ -314,33 +367,44 @@ def run_merging(initial: Clustering) -> MergeRun:
     loop ends after recording K = 2. The input clustering is not modified.
     Records number the K live slots 0..K-1 in slot order, as labels_at does.
 
-    The loop keeps one state, the distance matrix and each slot's cached
-    row minimum eta and partner. gamma and the pair equal ``compute_scores``
-    on the current distance matrix at every K, bitwise, but a merge rescans
-    only the rows ``_update_minima`` names, so the loop costs O(P^2)
+    The loop keeps one state: the distance matrix d, each slot's cached
+    row minimum eta and partner, each slot's within moments and size, and
+    the sorted list of dead slots, from which a record's ranks are counted.
+    A merge refreshes row and column p of d with one ``bhattacharyya``
+    call (``_refresh_distance``), updates the minima from that fresh
+    column without reading d's, and rescans only the rows
+    ``_update_minima`` names. Dead slots' rows and columns of d go stale,
+    as their statistics do. gamma and the pair equal ``compute_scores`` on
+    a fresh distance matrix at every K, bitwise, and the loop costs O(P^2)
     overall when few rows lose their partner per merge, O(P^3) at worst.
     """
     if initial.k < 2:
         raise DegenerateInputError("merging needs at least 2 initial clusters")
     work = initial.copy()
-    d = distance_matrix(work)
+    d, weights, within, floor = _merge_state(work)
     eta, partners = _row_minima(d)
     initial_labels = (np.cumsum(work.sizes > 0) - 1)[initial.labels]
+    sizes = work.sizes.tolist()
+    dead_slots = np.flatnonzero(work.sizes == 0).tolist()  # ascending
+    partners[dead_slots] = -1
     steps: list[MergeStep] = []
     for k in range(initial.k, 1, -1):
         i_star = int(np.argmin(eta))
         j_star = int(partners[i_star])
-        t_k = t_pair(int(work.sizes[i_star]), int(work.sizes[j_star]))
-        pair = (int(np.count_nonzero(work.sizes[:i_star])),
-                int(np.count_nonzero(work.sizes[:j_star])))
+        t_k = t_pair(sizes[i_star], sizes[j_star])
+        pair = (i_star - bisect_left(dead_slots, i_star), j_star - bisect_left(dead_slots, j_star))
         steps.append(
             MergeStep(k=k, gamma=float(eta[i_star]), zeta=threshold(t_k), t=t_k, pair=pair)
         )
         if k > 2:
             kept = work.merge(i_star, j_star)
-            emptied = max(i_star, j_star)
-            _refresh_distance(d, work, kept, emptied)
-            _update_minima(d, eta, partners, work.sizes > 0, kept, emptied)
+            emptied = i_star + j_star - kept
+            sizes[kept] += sizes[emptied]
+            sizes[emptied] = 0
+            insort(dead_slots, emptied)
+            floor[emptied] = np.inf
+            column = _refresh_distance(d, work, weights, within, floor, kept)
+            _update_minima(d, eta, partners, column, floor, kept, emptied)
     return MergeRun(steps=steps, initial_labels=initial_labels)
 
 
@@ -378,6 +442,7 @@ def initial_clustering(angles: AngleCache, seed: int) -> Clustering:
     already allocated at p's visit, and no allocation is ever undone.
     Every cluster ends with >= 3 points.
     """
+    seed = integer_seed(seed)
     n = angles.n_points
     if n < 3:
         raise DegenerateInputError(f"initial clustering needs >= 3 points, got {n}")

@@ -76,6 +76,14 @@ def integer_labels(labels, n_points: int) -> np.ndarray:
     return labels.astype(np.int64)
 
 
+def integer_seed(seed) -> int:
+    """``seed`` as an int. Raises DegenerateInputError unless it is a
+    non-negative integer (a Python or numpy integer, not a float)."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DegenerateInputError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def normalize_rows(data: DataSet) -> DataSet:
     """Project every point onto the unit sphere, preserving labels.
 
@@ -177,8 +185,10 @@ class AngleCache:
         Returns (sum_matrix, sumsq_matrix), both n_groups x n_groups and
         symmetric. Off-diagonal entry (k, l) aggregates every cross angle
         between groups k and l once; diagonal entry (k, k) aggregates every
-        within-group angle of k once. This is the layout a ``Clustering``
-        holds, so its statistics are the two matrices as returned.
+        within-group angle of k once. The two are the halves [..., 0] and
+        [..., 1] of one n_groups x n_groups x 2 array, their ``base``,
+        which holds each (sum, sum of squares) pair side by side: the store
+        a ``Clustering`` holds as it is filled here.
 
         The points are taken in the order of a stable sort by group, so a
         block of rows I holds one contiguous range of groups g0..g1. One
@@ -190,9 +200,9 @@ class AngleCache:
         of an upper-triangular P x P matrix U. The pass costs O(N^2 * n)
         for the products, with arccos on the N^2 / 2 angles, and adds a
         (g1 - g0) x (P - g0) array per block. U's strict upper triangle is
-        then copied onto its lower one in place, a strip of _BLOCK columns
-        at a time, so the two returned matrices are the only P x P arrays
-        made; they are bitwise symmetric.
+        then copied onto its lower one in place, both halves at once, a
+        strip of _BLOCK columns at a time, so the store is the only P x P
+        array made; the two halves are bitwise symmetric.
         """
         # Imported here, not with the module: scipy.sparse takes about 0.2 s
         # to load, which a process that never clusters (`anglemerge synth`,
@@ -210,8 +220,8 @@ class AngleCache:
         # are) need no N x n permuted copy of the points.
         points = self._points if np.array_equal(labels, assignment) else self._points[order]
         onehot = csc_matrix((np.ones(n), (labels, np.arange(n))), shape=(n_groups, n))
-        upper = np.zeros((n_groups, n_groups))
-        upper_sq = np.zeros((n_groups, n_groups))
+        store = np.zeros((n_groups, n_groups, 2))
+        upper, upper_sq = store[..., 0], store[..., 1]
         below = np.tri(_BLOCK, k=-1, dtype=bool)
         for start in range(0, n, _BLOCK):
             stop = min(start + _BLOCK, n)
@@ -229,13 +239,15 @@ class AngleCache:
             np.square(block, out=block)
             upper_sq[g0:g1, g0:] += rows @ np.ascontiguousarray((cols @ block).T)
             del block  # freed before the next block's product is formed
+        # Both halves are mirrored at once, each (sum, sum of squares) pair
+        # moved as one complex number.
+        pairs = store.view(np.complex128)[..., 0]
         for start in range(0, n_groups, _BLOCK):
             stop = start + _BLOCK
-            for half in (upper, upper_sq):
-                half[stop:, start:stop] = half[start:stop, stop:].T
-                square = half[start:stop, start:stop]
-                strict = below[: len(square), : len(square)]
-                square[strict] = square.T[strict]
+            pairs[stop:, start:stop] = pairs[start:stop, stop:].T
+            square = pairs[start:stop, start:stop]
+            strict = below[: len(square), : len(square)]
+            square[strict] = square.T[strict]
         return upper, upper_sq
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError
-from .geometry import DataSet
+from .geometry import DataSet, integer_seed
 
 # Generated rows with norm below this are drawn again.
 ZERO_NORM_EPS = 1e-300
@@ -32,6 +32,7 @@ class SubspaceSpec:
     seed: int = 0
 
     def __post_init__(self):
+        integer_seed(self.seed)
         if not 2 <= self.r < self.n:
             raise DegenerateInputError(f"need 2 <= r < n, got r={self.r}, n={self.n}")
         if self.L < 1:
@@ -55,6 +56,7 @@ class DPSpec:
     seed: int = 0
 
     def __post_init__(self):
+        integer_seed(self.seed)
         if self.n < 2:
             raise DegenerateInputError(f"need n >= 2, got {self.n}")
         for name in ("rho", "sigma", "alpha"):

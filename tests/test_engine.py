@@ -9,6 +9,7 @@ from anglemerge.engine import (
     Clustering,
     MergeRun,
     MergeStep,
+    _merge_state,
     _refresh_distance,
     _row_minima,
     _update_minima,
@@ -307,6 +308,19 @@ class TestMergeStep:
                 clustering.merge(*pair)
         assert clustering.sizes.tolist() == [6, 12, 6, 6, 0, 6]
 
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, 6)])
+    @pytest.mark.parametrize("merge", [lambda clustering, pair: clustering.merge(*pair),
+                                       merge_step], ids=["merge", "merge_step"])
+    def test_a_slot_out_of_range_raises_and_changes_nothing(self, merge, pair):
+        # merge(-1, 0) must not fold slot 0 into the last slot, and
+        # merge(0, P) must not end in a bare IndexError.
+        clustering = self.six_slots()
+        before = clustering.copy()
+        with pytest.raises(DegenerateInputError, match="slots are 0..5"):
+            merge(clustering, pair)
+        for name in ("labels", "sizes", "stats"):
+            assert getattr(clustering, name).tobytes() == getattr(before, name).tobytes()
+
     def test_counts_stay_consistent_through_merges(self):
         rng = np.random.default_rng(5)
         cache = make_cache(unit_sphere_points(rng, 40, 8))
@@ -388,6 +402,13 @@ class TestRunMerging:
         assert run.steps[0].k == 2
         assert run.initial_k == 2
         np.testing.assert_array_equal(run.labels_at(2), [0, 0, 0, 1, 1, 1])
+
+    def test_labels_at_rejects_a_non_integer_k(self):
+        cache = make_cache(two_bundle_points())
+        run = run_merging(Clustering.from_labels(cache, np.array([0, 0, 0, 1, 1, 1])))
+        with pytest.raises(DegenerateInputError, match="integer"):
+            run.labels_at(2.5)
+        np.testing.assert_array_equal(run.labels_at(np.int64(2)), run.labels_at(2))
 
     def test_trace_shape_and_thresholds(self):
         rng = np.random.default_rng(6)
@@ -490,15 +511,20 @@ class TestRunMerging:
     )
     def test_refreshed_distance_matches_full_recomputation(self, generator, seed):
         # Replay the merge loop: after every merge the row-and-column refresh
-        # must give exactly the matrix a from-scratch distance_matrix gives.
+        # must give exactly the live block a from-scratch distance_matrix
+        # gives (dead slots' rows and columns are left stale).
         data = generator(SubspaceSpec(n=60, r=6, L=5, N=240, seed=seed))
         work = initial_clustering(compute_angles(normalize_rows(data)), seed=seed)
-        d = distance_matrix(work)
+        d, weights, within, floor = _merge_state(work)
         while work.k > 2:
-            i_star, j_star = compute_scores(work, d).pair
+            live = np.ix_(work.live, work.live)
+            i_star, j_star = compute_scores(work, d[live]).pair
+            i_star, j_star = work.live[i_star], work.live[j_star]
             kept = work.merge(i_star, j_star)
-            _refresh_distance(d, work, kept, max(i_star, j_star))
-            assert np.array_equal(d, distance_matrix(work))
+            floor[max(i_star, j_star)] = np.inf
+            _refresh_distance(d, work, weights, within, floor, kept)
+            live = np.ix_(work.live, work.live)
+            assert np.array_equal(d[live], distance_matrix(work)[live])
 
     def test_records_match_scores_of_the_compacted_clustering(self):
         # Records number the K live slots 0..K-1 in slot order, as labels_at
@@ -524,11 +550,13 @@ class TestRunMerging:
         d[0, :] = d[:, 0] = [np.inf, np.inf, 0.6, 0.5]
         d[1, :] = d[:, 1] = np.inf
         live = np.array([True, False, True, True])
-        _update_minima(d, eta, partners, live, kept=0, emptied=1)
-        want_eta, want_partners = _row_minima(d)
+        floor = np.where(live, -np.inf, np.inf)
+        _update_minima(d, eta, partners, d[:, 0].copy(), floor, kept=0, emptied=1)
+        want_eta, want_partners = _row_minima(d[np.ix_(live, live)])
         assert partners[3] == 0
-        np.testing.assert_array_equal(eta, want_eta)
-        np.testing.assert_array_equal(partners[live], want_partners[live])
+        assert eta[1] == np.inf
+        np.testing.assert_array_equal(eta[live], want_eta)
+        np.testing.assert_array_equal(partners[live], np.flatnonzero(live)[want_partners])
 
     def test_steps_hold_only_per_k_scalars(self):
         assert [f.name for f in fields(MergeStep)] == ["k", "gamma", "zeta", "t", "pair"]

@@ -48,6 +48,12 @@ class TestClusterDataset:
         run = cluster_dataset(data, seed=0, initial_labels=init)
         assert run.initial_k == 24
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_a_negative_or_non_integer_seed_is_rejected(self, seed):
+        data = gen_subspace_normal(SubspaceSpec(n=30, r=3, L=2, N=60, seed=0))
+        with pytest.raises(DegenerateInputError, match="seed must be a non-negative integer"):
+            cluster_dataset(data, seed=seed)
+
     @pytest.mark.parametrize("bad", ["nan", "fractional", "inf", "-inf"])
     def test_non_integer_initial_labels_are_rejected(self, bad):
         data = gen_subspace_normal(SubspaceSpec(n=30, r=3, L=2, N=60, seed=0))

@@ -103,6 +103,10 @@ class TestSubspaceNormal:
         np.testing.assert_array_equal(a.points, b.points)
         assert not np.allclose(a.points, c.points)
 
+    def test_a_negative_seed_is_rejected(self):
+        with pytest.raises(DegenerateInputError, match="seed must be a non-negative integer"):
+            SubspaceSpec(n=30, r=4, L=2, N=50, seed=-3)
+
 
 class TestSubspaceUniform:
     def test_points_lie_in_their_subspaces(self):
@@ -195,6 +199,10 @@ class TestDirichletProcess:
             for rho, sigma in ((1e308, 1.0), (1.0, 1e308), (1e308, 1e308)):
                 with pytest.raises(DegenerateInputError, match="rho=.*sigma="):
                     gen_dp(DPSpec(n=10, N=60, rho=rho, sigma=sigma, seed=13))
+
+    def test_a_negative_seed_is_rejected(self):
+        with pytest.raises(DegenerateInputError, match="seed must be a non-negative integer"):
+            DPSpec(n=10, N=60, rho=4.0, sigma=1.0, seed=-1)
 
     def test_deterministic_per_seed(self):
         a = gen_dp(DPSpec(n=10, N=60, rho=4.0, sigma=1.0, alpha=1.0, seed=12))
