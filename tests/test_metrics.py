@@ -52,6 +52,32 @@ class TestClusteringError:
                 brute_force_ce(*_densify(truth, pred)), abs=1e-12
             ), f"trial {trial}"
 
+    @pytest.mark.parametrize("shape", ["random", "one-row", "one-column"])
+    def test_matches_linear_sum_assignment_beyond_brute_force(self, shape):
+        # The program matches on the sparse graph; the dense Hungarian
+        # solver on the zero-padded square table is the oracle here.
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng({"random": 4, "one-row": 5, "one-column": 6}[shape])
+        for trial in range(60):
+            size = int(rng.integers(1, 400))
+            n_true, n_pred = (int(v) for v in rng.integers(1, 61, 2))
+            if shape == "one-row":
+                n_pred = 1
+            elif shape == "one-column":
+                n_true = 1
+            truth = rng.integers(0, n_true, size)
+            pred = rng.integers(0, n_pred, size)
+            t, p = _densify(truth, pred)
+            table = np.zeros((p.max() + 1, t.max() + 1), dtype=np.int64)
+            np.add.at(table, (p, t), 1)
+            padded = np.zeros((max(table.shape),) * 2, dtype=np.int64)
+            padded[: table.shape[0], : table.shape[1]] = table
+            rows, cols = linear_sum_assignment(padded, maximize=True)
+            expected = 1.0 - padded[rows, cols].sum() / size
+            assert clustering_error(truth, pred) == expected, f"trial {trial}"
+            assert clustering_error(pred, truth) == expected, f"trial {trial}"
+
     def test_invariant_to_relabeling_both_sides(self):
         rng = np.random.default_rng(1)
         truth = rng.integers(0, 4, 40)

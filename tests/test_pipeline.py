@@ -138,6 +138,26 @@ def test_clustering_loads_scipy_sparse_but_not_scipy_stats():
     assert out == "True False"
 
 
+@pytest.mark.parametrize("command", [
+    "cli.main(['synth', '--model', 'normal', '--n', '20', '--r', '2', '--l', '2',"
+    " '--num-points', '60', '--seed', '0', '--out', DIR + '/points.csv'])\n"
+    "cli.main(['cluster', '--input', DIR + '/points.csv', '--labeled', '--seed', '0',"
+    " '--out', DIR + '/run'])",
+    "cli.main(['eval', '--truth', DIR + '/truth.csv', '--pred', DIR + '/pred.csv'])",
+], ids=["cluster-labeled", "eval"])
+def test_scoring_loads_neither_scipy_optimize_nor_scipy_stats(command, tmp_path):
+    # The clustering error's matching comes from scipy.sparse.csgraph;
+    # scipy.optimize would add about 0.2 s to every scored call.
+    (tmp_path / "truth.csv").write_text("0\n0\n1\n1\n2\n")
+    (tmp_path / "pred.csv").write_text("1\n1\n0\n2\n2\n")
+    out = run_python(
+        f"import sys\nfrom anglemerge import cli\nDIR = {str(tmp_path)!r}\n{command}\n"
+        "print('scipy.optimize' in sys.modules, 'scipy.stats' in sys.modules)"
+    )
+    assert '"ce": ' in out  # the command scored a run
+    assert out.splitlines()[-1] == "False False"
+
+
 RUN_HASH = """
 import hashlib
 from anglemerge import cluster_dataset
