@@ -24,7 +24,14 @@ import numpy as np
 
 from .bounds import SeparationParams, bound_report
 from .errors import AngleMergeError, DegenerateInputError
-from .geometry import DataSet, integer_labels, load_points_csv, read_numbers, save_points_csv
+from .geometry import (
+    DataSet,
+    exact_float_labels,
+    integer_labels,
+    load_points_csv,
+    read_numbers,
+    save_points_csv,
+)
 from .metrics import abs_cluster_count_error, clustering_error, nmi
 from .pipeline import ClusterRun, cluster_dataset
 from .synthetic import (
@@ -46,21 +53,14 @@ EXIT_NO_CROSSING = 2
 
 def _load_label_file(path) -> np.ndarray:
     """One label per line. Integer literals are read exactly at any int64
-    size; a file with a float literal such as ``2.0`` is read as floats and
-    checked by ``integer_labels``. Floats hold every integer below 2**53
-    exactly, so a larger label in such a file is an error, not a label that
-    a rounding might merge with its neighbour."""
+    size; a file with a float literal such as ``2.0`` is read as floats,
+    checked by ``integer_labels`` and held below 2**53 in magnitude by
+    ``exact_float_labels``; write every label as an integer to go past it."""
     try:
         return read_numbers(path, "label file", dtype=np.int64, ndmin=1)
     except DegenerateInputError:
         labels = read_numbers(path, "label file", ndmin=1)
-    big = np.flatnonzero(np.isfinite(labels) & (np.abs(labels) >= 2.0**53))
-    if big.size:
-        raise DegenerateInputError(
-            f"row {big[0]} of label file {path} has a label of magnitude >= 2**53, which a "
-            "file with float labels cannot hold exactly; write every label as an integer"
-        )
-    return integer_labels(labels, labels.size)
+    return exact_float_labels(integer_labels(labels, labels.size), f"label file {path}")
 
 
 def _save_label_file(path, labels: np.ndarray) -> None:

@@ -76,6 +76,24 @@ def integer_labels(labels, n_points: int) -> np.ndarray:
     return labels.astype(np.int64)
 
 
+def exact_float_labels(labels: np.ndarray, what: str) -> np.ndarray:
+    """``labels`` (int64) as they are, when a float64 holds each one exactly.
+
+    A float holds every integer below 2**53 in magnitude, and a larger one
+    could round onto its neighbour, silently merging two clusters. So a
+    label of magnitude >= 2**53 raises DegenerateInputError naming its row
+    in ``what``. The bounds are compared on int64: ``abs`` of -2**63
+    overflows.
+    """
+    big = np.flatnonzero((labels >= 2**53) | (labels <= -(2**53)))
+    if big.size:
+        raise DegenerateInputError(
+            f"row {big[0]} of {what} has a label of magnitude >= 2**53, "
+            "which a float cannot hold exactly"
+        )
+    return labels
+
+
 def integer_seed(seed) -> int:
     """``seed`` as an int. Raises DegenerateInputError unless it is a
     non-negative integer (a Python or numpy integer, not a float)."""
@@ -284,17 +302,30 @@ def load_points_csv(path, labeled: bool = False) -> DataSet:
     """Read a dataset from CSV: one point per row, comma-separated reals.
 
     With ``labeled=True`` the final column is the ground-truth label, which
-    ``DataSet`` checks to be an integer.
+    must be an integer of magnitude below 2**53: the column is read as
+    floats, which hold no larger integer exactly.
     """
     raw = read_numbers(path, "points CSV", delimiter=",", ndmin=2)
     if labeled:
         if raw.shape[1] < 3:
             raise DegenerateInputError("labeled CSV needs >= 2 feature columns plus a label")
-        return DataSet(points=raw[:, :-1], labels=raw[:, -1])
+        data = DataSet(points=raw[:, :-1], labels=raw[:, -1])
+        exact_float_labels(data.labels, f"points CSV {path}")
+        return data
     return DataSet(points=raw)
 
 
 def save_points_csv(path, data: DataSet) -> None:
-    """Write a dataset as CSV, appending the label column when present."""
-    out = data.points if data.labels is None else np.column_stack((data.points, data.labels))
-    np.savetxt(path, out, delimiter=",")
+    """Write a dataset as CSV, appending the label column when present.
+
+    Each value is written in 17 significant digits, the fewest that read
+    back as the same float64 for every value, so ``load_points_csv``
+    returns the points and labels bit for bit. Labels share the float
+    column, so one of magnitude >= 2**53 raises DegenerateInputError
+    before the file is opened.
+    """
+    out = data.points
+    if data.labels is not None:
+        exact_float_labels(data.labels, "the dataset")
+        out = np.column_stack((data.points, data.labels))
+    np.savetxt(path, out, delimiter=",", fmt="%.17g")

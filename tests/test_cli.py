@@ -8,6 +8,8 @@ import pytest
 
 from anglemerge.cli import EXIT_ERROR, EXIT_NO_CROSSING, EXIT_OK, _save_label_file, main
 from anglemerge.geometry import DataSet, save_points_csv
+from anglemerge.pipeline import cluster_dataset
+from anglemerge.synthetic import SubspaceSpec, gen_subspace_dependent
 from helpers import unit_sphere_points
 
 
@@ -133,6 +135,28 @@ class TestSynthAndCluster:
             report.pop("elapsed_ms")  # wall-clock, the one legitimate variation
             outs.append((json.dumps(report), (out / "labels.csv").read_text()))
         assert outs[0] == outs[1]
+
+    def test_csv_path_is_bit_exact_with_the_in_memory_run(self, tmp_path):
+        # synth writes the CSV that cluster reads back; the run must be the
+        # one cluster_dataset makes on the generated DataSet itself.
+        path, out = tmp_path / "data.csv", tmp_path / "run"
+        assert run_cli(
+            "synth", "--model", "dependent", "--n", "100", "--r", "10", "--l", "12",
+            "--num-points", "600", "--seed", "5", "--out", str(path),
+        ) == EXIT_OK
+        code = run_cli("cluster", "--input", str(path), "--labeled", "--seed", "5",
+                       "--out", str(out))
+        report = json.loads((out / "report.json").read_text())
+        data = gen_subspace_dependent(SubspaceSpec(n=100, r=10, L=12, N=600, seed=5))
+        run = cluster_dataset(data, seed=5)
+
+        def hexed(rows):
+            return [(r["k"], float.hex(r["gamma"]), float.hex(r["zeta"]), r["t"]) for r in rows]
+
+        assert report["trace"] and hexed(report["trace"]) == hexed(run.trace_rows())
+        np.testing.assert_array_equal(np.loadtxt(out / "labels.csv", dtype=np.int64),
+                                      run.labels)
+        assert code == (EXIT_OK if run.selection.crossed else EXIT_NO_CROSSING)
 
 
 class TestEvalRoundTrip:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from anglemerge import geometry
 from anglemerge.engine import Clustering
@@ -303,30 +305,83 @@ class TestAngleCacheAccess:
         assert cache.reads == 4
 
 
+# Values at the edges of float64: the smallest subnormal, the largest
+# subnormal, the largest finite value, -0.0 and a sum that is not the
+# decimal it looks like.
+EDGE_FLOATS = [5e-324, -2.225073858507201e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, -0.0, 0.1 + 0.2]
+BIGGEST_EXACT_LABEL = 2**53 - 1
+
+
+def significant_digits(field: str) -> int:
+    mantissa = field.lstrip("+-").split("e")[0].replace(".", "")
+    return len(mantissa.lstrip("0"))
+
+
+@st.composite
+def csv_datasets(draw):
+    n_points, dim = draw(st.integers(3, 8)), draw(st.integers(2, 4))
+    value = st.one_of(st.sampled_from(EDGE_FLOATS),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    points = draw(st.lists(value, min_size=n_points * dim, max_size=n_points * dim))
+    label = st.integers(-BIGGEST_EXACT_LABEL, BIGGEST_EXACT_LABEL)
+    labels = draw(st.none() | st.lists(label, min_size=n_points, max_size=n_points))
+    return DataSet(points=np.reshape(points, (n_points, dim)), labels=labels)
+
+
 class TestCsv:
+    def assert_bitwise_round_trip(self, path, data):
+        save_points_csv(path, data)
+        loaded = load_points_csv(path, labeled=data.labels is not None)
+        assert loaded.points.tobytes() == data.points.tobytes()
+        if data.labels is None:
+            assert loaded.labels is None
+        else:
+            assert loaded.labels.dtype == np.int64
+            np.testing.assert_array_equal(loaded.labels, data.labels)
+        fields = path.read_text().replace("\n", ",").split(",")
+        assert max(significant_digits(f) for f in fields if f) <= 17
+
     def test_round_trip_labeled(self, tmp_path):
         rng = np.random.default_rng(11)
         data = DataSet(points=rng.standard_normal((8, 4)), labels=rng.integers(0, 3, 8))
+        self.assert_bitwise_round_trip(tmp_path / "points.csv", data)
+
+    def test_round_trip_unlabeled(self, tmp_path):
+        rng = np.random.default_rng(12)
+        data = DataSet(points=rng.standard_normal((5, 3)))
+        self.assert_bitwise_round_trip(tmp_path / "points.csv", data)
+
+    @given(csv_datasets())
+    @example(DataSet(points=np.reshape(EDGE_FLOATS, (3, 2)),
+                     labels=[BIGGEST_EXACT_LABEL, -BIGGEST_EXACT_LABEL, 0]))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_finite_double_round_trips_bit_for_bit(self, tmp_path, data):
+        # One file name, rewritten by each example.
+        self.assert_bitwise_round_trip(tmp_path / "points.csv", data)
+
+    @pytest.mark.parametrize("labels", [[0, 2**53 + 1, 2**53, 5], [0, -(2**53), 1, 5],
+                                        [0, -(2**63), 1, 5]],
+                             ids=["above", "below", "int64-min"])
+    def test_a_label_a_float_cannot_hold_is_not_saved(self, tmp_path, labels):
+        data = DataSet(points=np.ones((4, 2)), labels=labels)
         path = tmp_path / "points.csv"
-        save_points_csv(path, data)
-        loaded = load_points_csv(path, labeled=True)
-        np.testing.assert_allclose(loaded.points, data.points, rtol=1e-15)
-        np.testing.assert_array_equal(loaded.labels, data.labels)
+        with pytest.raises(DegenerateInputError, match="row 1 .*2\\*\\*53"):
+            save_points_csv(path, data)
+        assert not path.exists()
+
+    def test_a_label_a_float_cannot_hold_is_not_loaded(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("1.0,2.0,0\n2.0,1.0,9007199254740993\n3.0,1.0,2\n1.0,3.0,1\n")
+        with pytest.raises(DegenerateInputError, match="row 1 .*2\\*\\*53"):
+            load_points_csv(path, labeled=True)
 
     def test_non_integer_label_column_is_rejected(self, tmp_path):
         path = tmp_path / "points.csv"
         path.write_text("1.0,2.0,0\n2.0,1.0,1\n3.0,1.0,nan\n1.0,3.0,1\n")
         with pytest.raises(DegenerateInputError, match="row 2"):
             load_points_csv(path, labeled=True)
-
-    def test_round_trip_unlabeled(self, tmp_path):
-        rng = np.random.default_rng(12)
-        data = DataSet(points=rng.standard_normal((5, 3)))
-        path = tmp_path / "points.csv"
-        save_points_csv(path, data)
-        loaded = load_points_csv(path)
-        np.testing.assert_allclose(loaded.points, data.points, rtol=1e-15)
-        assert loaded.labels is None
 
     @pytest.mark.parametrize("text", ["", "\n\n", "# a comment only\n"])
     def test_file_with_no_data_is_a_typed_error(self, tmp_path, text):
