@@ -52,14 +52,21 @@ EXIT_NO_CROSSING = 2
 
 
 def _load_label_file(path) -> np.ndarray:
-    """One label per line. Integer literals are read exactly at any int64
+    """One label per line; a line with more values raises
+    DegenerateInputError. Integer literals are read exactly at any int64
     size; a file with a float literal such as ``2.0`` is read as floats,
     checked by ``integer_labels`` and held below 2**53 in magnitude by
     ``exact_float_labels``; write every label as an integer to go past it."""
     try:
-        return read_numbers(path, "label file", dtype=np.int64, ndmin=1)
+        labels = read_numbers(path, "label file", dtype=np.int64, ndmin=2)
     except DegenerateInputError:
-        labels = read_numbers(path, "label file", ndmin=1)
+        labels = read_numbers(path, "label file", ndmin=2)
+    if labels.shape[1] != 1:
+        raise DegenerateInputError(
+            f"label file {path} has {labels.shape[1]} values on a line, not one label")
+    labels = labels[:, 0]
+    if labels.dtype == np.int64:
+        return labels
     return exact_float_labels(integer_labels(labels, labels.size), f"label file {path}")
 
 

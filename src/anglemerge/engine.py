@@ -4,8 +4,8 @@ and threshold-based selection of the final cluster count.
 The engine never touches coordinates. It reads the AngleCache only while
 seeding, in two O(N^2 * n) passes: one for each point's two allies (the
 two largest |x . y| in its row), one for the per-cluster sufficient
-statistics, one P x P x 2 store of symmetric (sum, sum of squares) pairs
-with the within sums on the diagonal. From then on every merge is a
+statistics, one symmetric complex P x P store of (sum, sum of squares)
+pairs with the within sums on the diagonal. From then on every merge is a
 purely additive update of those statistics: merging clusters a and b
 turns their cross-angle set into within-angle mass, so
 
@@ -59,26 +59,22 @@ __all__ = [
 class Clustering:
     """A partition of the points into P fixed slots, with additive angle statistics.
 
-    ``labels[i]`` is the slot of point i. ``stats`` is the symmetric
-    P x P x 2 store that ``grouped_sums`` fills: stats[k, l] is the
-    (sum, sum of squares) pair of the k-l cross-angle set, and stats[k, k]
-    that of slot k's within-angle set. ``sums`` and ``sumsqs`` are its two
-    P x P halves, writable views.
+    ``labels[i]`` is the slot of point i. ``pairs`` is the symmetric
+    complex P x P store that ``grouped_sums`` returns: pairs[k, l] is the
+    (sum, sum of squares) pair of the k-l cross-angle set, and pairs[k, k]
+    that of slot k's within-angle set. ``sums`` and ``sumsqs`` are its
+    real and imaginary parts, writable views.
     Counts are implied: C(size_k, 2) within, size_k * size_l between. A
     merge relabels one slot's points, empties it and moves no other slot.
     A slot is dead when its size is 0; its statistics are then stale and
     never read. ``k`` counts the live slots, ``live`` lists them.
     """
 
-    def __init__(self, labels, stats):
+    def __init__(self, labels, pairs):
         self.labels = labels
-        self.sizes = np.bincount(labels, minlength=stats.shape[0])
-        self.stats = stats
-        self.sums, self.sumsqs = stats[..., 0], stats[..., 1]
-        # Each (sum, sum of squares) pair as one complex number: complex
-        # addition is componentwise, so a merge updates both halves in one
-        # pass with the same float additions.
-        self._pairs = stats.view(np.complex128)[..., 0]
+        self.sizes = np.bincount(labels, minlength=pairs.shape[0])
+        self.pairs = pairs
+        self.sums, self.sumsqs = pairs.real, pairs.imag
 
     @classmethod
     def from_labels(cls, angles: AngleCache, labels: np.ndarray) -> "Clustering":
@@ -90,8 +86,7 @@ class Clustering:
         """
         labels = integer_labels(labels, angles.n_points)
         values, slots = np.unique(labels, return_inverse=True)
-        sums, _ = angles.grouped_sums(slots, values.size)
-        return cls(slots, sums.base)
+        return cls(slots, angles.grouped_sums(slots, values.size))
 
     @property
     def k(self) -> int:
@@ -103,7 +98,7 @@ class Clustering:
         return np.flatnonzero(self.sizes)
 
     def copy(self) -> "Clustering":
-        return Clustering(self.labels.copy(), self.stats.copy())
+        return Clustering(self.labels.copy(), self.pairs.copy())
 
     def merge(self, a: int, b: int) -> int:
         """Merge clusters a and b by additive statistic combination.
@@ -123,7 +118,7 @@ class Clustering:
         if a == b or self.sizes[a] == 0 or self.sizes[b] == 0:
             raise DegenerateInputError(f"cannot merge slot {a} with slot {b}: same or empty slot")
         p, q = (a, b) if a < b else (b, a)
-        s = self._pairs
+        s = self.pairs
         within = s[p, p] + (s[q, q] + s[p, q])
         s[p] += s[q]
         s[p, p] = within
@@ -156,13 +151,6 @@ def _check_mergeable(clustering: Clustering) -> None:
         raise TooFewAnglesError(f"every cluster needs >= 3 points, smallest has {smallest}")
 
 
-def _within_moments(clustering: Clustering, sizes: np.ndarray):
-    """Each slot's within mean and variance, from the statistics' diagonal
-    and the float slot sizes given."""
-    return moments(np.diagonal(clustering.sums), np.diagonal(clustering.sumsqs),
-                   sizes * (sizes - 1.0) / 2.0)
-
-
 def distance_matrix(clustering: Clustering) -> np.ndarray:
     """All pairwise slot distances d[k, l]; +inf on the diagonal and for empty slots.
 
@@ -173,38 +161,37 @@ def distance_matrix(clustering: Clustering) -> np.ndarray:
     at a time, whether or not some slots are empty, so besides d the
     temporaries stay O(_DISTANCE_BLOCK).
     """
+    return _merge_state(clustering)[0]
+
+
+def _merge_state(clustering: Clustering):
+    """What the merge loop keeps beside ``clustering``: d, as in
+    ``distance_matrix``; each slot's size as a float count, an empty slot
+    counted as 3 points; a 2 x 2 x P array whose [:, 1] holds each slot's
+    within mean and variance ([:, 0] is ``_refresh_distance``'s scratch);
+    and ``floor``, -inf at a live slot and +inf at an empty one, which
+    ``np.fmax`` lays over a row of distances to mask the empty slots."""
     _check_mergeable(clustering)
     # Live sizes are >= 3, so every count is above 1. An empty slot counts
     # as 3 points: its stale, finite sums then give finite entries, as the
     # diagonal's within sums read as between sums do, until set to inf.
-    sizes = np.maximum(clustering.sizes, 3).astype(np.float64)
+    weights = np.maximum(clustering.sizes, 3).astype(np.float64)
     sums, sumsqs = clustering.sums, clustering.sumsqs
-    mean_w, var_w = _within_moments(clustering, sizes)
-    n_slots = sizes.size
+    n_slots = weights.size
+    within = np.empty((2, 2, n_slots))
+    within[:, 1] = moments(np.diagonal(sums), np.diagonal(sumsqs),
+                           weights * (weights - 1.0) / 2.0)
+    mean_w, var_w = within[:, 1]
     d = np.empty((n_slots, n_slots))
     step = max(1, _DISTANCE_BLOCK // n_slots)
     for start in range(0, n_slots, step):
         r = slice(start, start + step)
-        mean_b, var_b = moments(sums[r], sumsqs[r], sizes[r, None] * sizes)
+        mean_b, var_b = moments(sums[r], sumsqs[r], weights[r, None] * weights)
         d[r] = bhattacharyya(mean_w[r, None], var_w[r, None], mean_b, var_b)
     empty = clustering.sizes == 0
     d[empty, :] = d[:, empty] = np.inf
     np.fill_diagonal(d, np.inf)
-    return d
-
-
-def _merge_state(clustering: Clustering):
-    """What the merge loop keeps beside ``clustering``: d; each slot's size
-    as a float count, an empty slot counted as 3 points as in
-    ``distance_matrix``; a 2 x 2 x P array whose [:, 1] holds each slot's
-    within mean and variance ([:, 0] is ``_refresh_distance``'s scratch);
-    and ``floor``, -inf at a live slot and +inf at an empty one, which
-    ``np.fmax`` lays over a row of distances to mask the empty slots."""
-    d = distance_matrix(clustering)
-    weights = np.maximum(clustering.sizes, 3).astype(np.float64)
-    within = np.empty((2, 2, weights.size))
-    within[:, 1] = _within_moments(clustering, weights)
-    floor = np.where(clustering.sizes == 0, np.inf, -np.inf)
+    floor = np.where(empty, np.inf, -np.inf)
     return d, weights, within, floor
 
 

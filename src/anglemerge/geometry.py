@@ -200,13 +200,13 @@ class AngleCache:
     def grouped_sums(self, assignment: np.ndarray, n_groups: int):
         """Angle sums and squared sums aggregated over a partition.
 
-        Returns (sum_matrix, sumsq_matrix), both n_groups x n_groups and
-        symmetric. Off-diagonal entry (k, l) aggregates every cross angle
-        between groups k and l once; diagonal entry (k, k) aggregates every
-        within-group angle of k once. The two are the halves [..., 0] and
-        [..., 1] of one n_groups x n_groups x 2 array, their ``base``,
-        which holds each (sum, sum of squares) pair side by side: the store
-        a ``Clustering`` holds as it is filled here.
+        Returns one symmetric n_groups x n_groups complex128 store: the
+        real part of entry (k, l) sums every cross angle between groups k
+        and l once, the imaginary part their squares; diagonal entry (k, k)
+        sums every within-group angle of k once in the same way. Each
+        (sum, sum of squares) pair is thus one complex number, and complex
+        addition adds both halves: the store a ``Clustering`` holds as it
+        is filled here.
 
         The points are taken in the order of a stable sort by group, so a
         block of rows I holds one contiguous range of groups g0..g1. One
@@ -238,8 +238,8 @@ class AngleCache:
         # are) need no N x n permuted copy of the points.
         points = self._points if np.array_equal(labels, assignment) else self._points[order]
         onehot = csc_matrix((np.ones(n), (labels, np.arange(n))), shape=(n_groups, n))
-        store = np.zeros((n_groups, n_groups, 2))
-        upper, upper_sq = store[..., 0], store[..., 1]
+        store = np.zeros((n_groups, n_groups), dtype=np.complex128)
+        upper, upper_sq = store.real, store.imag
         below = np.tri(_BLOCK, k=-1, dtype=bool)
         for start in range(0, n, _BLOCK):
             stop = min(start + _BLOCK, n)
@@ -257,16 +257,14 @@ class AngleCache:
             np.square(block, out=block)
             upper_sq[g0:g1, g0:] += rows @ np.ascontiguousarray((cols @ block).T)
             del block  # freed before the next block's product is formed
-        # Both halves are mirrored at once, each (sum, sum of squares) pair
-        # moved as one complex number.
-        pairs = store.view(np.complex128)[..., 0]
+        # Both halves are mirrored at once, each pair moved as one number.
         for start in range(0, n_groups, _BLOCK):
             stop = start + _BLOCK
-            pairs[stop:, start:stop] = pairs[start:stop, stop:].T
-            square = pairs[start:stop, start:stop]
+            store[stop:, start:stop] = store[start:stop, stop:].T
+            square = store[start:stop, start:stop]
             strict = below[: len(square), : len(square)]
             square[strict] = square.T[strict]
-        return upper, upper_sq
+        return store
 
 
 def _arccos(gram: np.ndarray) -> np.ndarray:

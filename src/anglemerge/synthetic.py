@@ -79,29 +79,28 @@ def _haar_basis(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
     return q
 
 
-def _draw_coefficients(rng: np.random.Generator, count: int, r: int, kind: str) -> np.ndarray:
-    # Redraw any (probability-zero) all-zero coordinate rows so downstream
+def _standard_uniform(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    return rng.uniform(0.0, 1.0, size=shape)
+
+
+def _draw_coefficients(rng: np.random.Generator, count: int, r: int, sample) -> np.ndarray:
+    # count x r coordinates from sample(rng, shape). Redraw any
+    # (probability-zero) all-zero coordinate rows so downstream
     # normalization never sees a zero vector.
-    if kind == "normal":
-        draw = lambda c: rng.standard_normal((c, r))
-    elif kind == "uniform":
-        draw = lambda c: rng.uniform(0.0, 1.0, size=(c, r))
-    else:
-        raise DegenerateInputError(f"unknown coefficient distribution {kind!r}")
-    coef = draw(count)
+    coef = sample(rng, (count, r))
     bad = np.linalg.norm(coef, axis=1) < ZERO_NORM_EPS
     while bad.any():
-        coef[bad] = draw(int(bad.sum()))
+        coef[bad] = sample(rng, (int(bad.sum()), r))
         bad = np.linalg.norm(coef, axis=1) < ZERO_NORM_EPS
     return coef
 
 
-def _subspace_dataset(spec: SubspaceSpec, coefficient_kind: str) -> DataSet:
+def _subspace_dataset(spec: SubspaceSpec, sample) -> DataSet:
     rng = np.random.default_rng(spec.seed)
     blocks, labels = [], []
     for k, count in enumerate(_group_counts(spec.N, spec.L)):
         basis = _haar_basis(rng, spec.n, spec.r)
-        coef = _draw_coefficients(rng, count, spec.r, coefficient_kind)
+        coef = _draw_coefficients(rng, count, spec.r, sample)
         blocks.append(coef @ basis.T)
         labels.extend([k] * count)
     return DataSet(points=np.vstack(blocks), labels=np.array(labels, dtype=np.int64))
@@ -110,13 +109,13 @@ def _subspace_dataset(spec: SubspaceSpec, coefficient_kind: str) -> DataSet:
 def gen_subspace_normal(spec: SubspaceSpec) -> DataSet:
     """Fully-random model: Haar-uniform subspaces, standard-normal
     coordinates (uniform on the subspace sphere after normalization)."""
-    return _subspace_dataset(spec, "normal")
+    return _subspace_dataset(spec, np.random.Generator.standard_normal)
 
 
 def gen_subspace_uniform(spec: SubspaceSpec) -> DataSet:
     """Haar-uniform subspaces with standard-uniform (U[0,1], uncentered)
     coordinates; within-subspace angles skew below pi/2."""
-    return _subspace_dataset(spec, "uniform")
+    return _subspace_dataset(spec, _standard_uniform)
 
 
 def gen_subspace_dependent(spec: SubspaceSpec) -> DataSet:
@@ -134,7 +133,7 @@ def gen_subspace_dependent(spec: SubspaceSpec) -> DataSet:
     for k, count in enumerate(_group_counts(spec.N, spec.L)):
         picks = rng.choice(spec.n, size=spec.r, replace=False)
         basis = pool[:, picks]
-        coef = _draw_coefficients(rng, count, spec.r, "uniform")
+        coef = _draw_coefficients(rng, count, spec.r, _standard_uniform)
         blocks.append(coef @ basis.T)
         labels.extend([k] * count)
     return DataSet(points=np.vstack(blocks), labels=np.array(labels, dtype=np.int64))

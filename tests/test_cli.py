@@ -81,6 +81,24 @@ class TestSynthAndCluster:
         assert report["crossed"] is False
         assert report["l_hat"] == 1
 
+    @pytest.mark.parametrize("command", ["cluster", "trace"])
+    def test_one_initial_cluster_exits_two(self, subspace_csv, tmp_path, command):
+        # One initial cluster leaves nothing to merge: no trace, no pair.
+        init_path = tmp_path / "init.csv"
+        init_path.write_text("7\n" * 400)
+        out = tmp_path / "run"
+        code = run_cli(command, "--input", str(subspace_csv), "--labeled",
+                       "--init-labels", str(init_path), "--out", str(out))
+        assert code == EXIT_NO_CROSSING
+        if command == "cluster":
+            report = json.loads((out / "report.json").read_text())
+            assert (report["initial_k"], report["l_hat"], report["crossed"]) == (1, 1, False)
+            assert report["trace"] == []
+            assert np.loadtxt(out / "labels.csv", dtype=int).tolist() == [0] * 400
+        else:
+            assert [path.name for path in out.iterdir()] == ["trace.csv"]
+            assert (out / "trace.csv").read_text() == "k,gamma,zeta,t\n"
+
     def test_external_initial_labels(self, subspace_csv, tmp_path):
         raw = np.loadtxt(subspace_csv, delimiter=",")
         truth = raw[:, -1].astype(int)
@@ -396,6 +414,30 @@ class TestErrorPaths:
             argv = ["eval", "--truth", str(labels), "--pred", str(labels)]
         assert run_cli(*argv) == EXIT_ERROR
         assert_one_line_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [("eval", "0 1\n1 1\n"), ("eval", "0 1\n"), ("cluster", "0 1 2 3 " * 100 + "\n")],
+        ids=["eval-2x2", "eval-one-line", "cluster-one-line"],
+    )
+    def test_label_file_with_several_values_on_a_line(self, subspace_csv, tmp_path, capsys,
+                                                      command, text):
+        # Each file holds one value per point of the other input, so read
+        # flat it would pass for a label file.
+        labels = tmp_path / "labels.csv"
+        labels.write_text(text)
+        if command == "cluster":
+            argv = ["cluster", "--input", str(subspace_csv), "--labeled",
+                    "--init-labels", str(labels), "--out", str(tmp_path / "run")]
+        else:
+            truth = tmp_path / "truth.csv"
+            truth.write_text("0\n" * len(text.split()))
+            argv = ["eval", "--truth", str(truth), "--pred", str(labels)]
+        assert run_cli(*argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        per_line = len(text.splitlines()[0].split())
+        assert f"label file {labels} has {per_line} values on a line" in err
 
     @pytest.mark.parametrize("label", ["nan", "9007199254740993.0"], ids=["nan", "above-2**53"])
     def test_unreadable_float_label_is_one_error_line(self, tmp_path, capsys, label):

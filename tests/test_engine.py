@@ -318,7 +318,7 @@ class TestMergeStep:
         before = clustering.copy()
         with pytest.raises(DegenerateInputError, match="slots are 0..5"):
             merge(clustering, pair)
-        for name in ("labels", "sizes", "stats"):
+        for name in ("labels", "sizes", "pairs"):
             assert getattr(clustering, name).tobytes() == getattr(before, name).tobytes()
 
     def test_counts_stay_consistent_through_merges(self):

@@ -177,7 +177,7 @@ class TestAngleCacheAccess:
         assert [a.shape for a in arrays] == [(n_points, dim)]
         # With one group per point the grouped sums are theta itself, with
         # an exact zero where a point meets itself.
-        store, _ = cache.grouped_sums(np.arange(n_points), n_points)
+        store = cache.grouped_sums(np.arange(n_points), n_points).real
         expected = angle_oracle(points)
         np.fill_diagonal(expected, 0.0)
         np.testing.assert_allclose(store, expected, rtol=0, atol=1e-12)
@@ -220,7 +220,8 @@ class TestAngleCacheAccess:
         full = angle_oracle(points)
         assignment = rng.integers(0, 4, size=n_points)
         assignment[:4] = np.arange(4)  # every group non-empty
-        sums, sumsqs = cache.grouped_sums(assignment, 4)
+        store = cache.grouped_sums(assignment, 4)
+        sums, sumsqs = store.real, store.imag
         expect_sum = np.zeros((4, 4))
         expect_sq = np.zeros((4, 4))
         for i in range(n_points):
@@ -256,7 +257,8 @@ class TestAngleCacheAccess:
         cache = compute_angles(DataSet(points=unit_sphere_points(rng, n_points, 6)))
         labels = rng.integers(0, n_groups, size=n_points)
         labels[:n_groups] = np.arange(n_groups)
-        sums, sumsqs = cache.grouped_sums(labels, n_groups)
+        store = cache.grouped_sums(labels, n_groups)
+        sums, sumsqs = store.real, store.imag
         for matrix in (sums, sumsqs):
             assert matrix.shape == (n_groups, n_groups)
             assert np.array_equal(matrix, matrix.T)
