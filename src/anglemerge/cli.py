@@ -201,7 +201,7 @@ def _cmd_trace(args) -> int:
         writer.writerow(["k", "gamma", "zeta", "t"])
         for row in run.trace_rows():
             writer.writerow([row["k"], f"{row['gamma']:.12g}", f"{row['zeta']:.12g}", row["t"]])
-    if run.merge_run is not None:
+    if run.merge_run.steps:
         within, between = run.selected_pair_angle_sets()
         _write_histogram(out / "within_hist.csv", within)
         _write_histogram(out / "between_hist.csv", between)

@@ -324,7 +324,8 @@ class MergeRun:
 
     @property
     def initial_k(self) -> int:
-        return self.steps[0].k
+        """Initial cluster count: one more than the records, so 1 if none."""
+        return len(self.steps) + 1
 
     def labels_at(self, k: int) -> np.ndarray:
         """Per-point labels of the clustering with k clusters, by replaying
@@ -345,13 +346,14 @@ class MergeRun:
         return ids[self.initial_labels]
 
 
-def run_merging(initial: Clustering) -> MergeRun:
+def run_merging(clustering: Clustering) -> MergeRun:
     """Run the merge loop from the initial clustering down to 2 clusters.
 
     At each K the mergeable pair (i*, j*) is found, the step is recorded
     with its threshold (computed from the pair's independent-sample budget
     t_K = min(floor(size_i*/2), size_j*)), and the pair is merged. The
-    loop ends after recording K = 2. The input clustering is not modified.
+    loop ends after recording K = 2. The clustering is consumed, merged in
+    place down to K = 2; a one-cluster input gives an empty trace.
     Records number the K live slots 0..K-1 in slot order, as labels_at does.
 
     The loop keeps one state: the distance matrix d, each slot's cached
@@ -365,17 +367,16 @@ def run_merging(initial: Clustering) -> MergeRun:
     a fresh distance matrix at every K, bitwise, and the loop costs O(P^2)
     overall when few rows lose their partner per merge, O(P^3) at worst.
     """
-    if initial.k < 2:
-        raise DegenerateInputError("merging needs at least 2 initial clusters")
-    work = initial.copy()
-    d, weights, within, floor = _merge_state(work)
+    initial_labels = (np.cumsum(clustering.sizes > 0) - 1)[clustering.labels]
+    if clustering.k < 2:
+        return MergeRun(steps=[], initial_labels=initial_labels)
+    d, weights, within, floor = _merge_state(clustering)
     eta, partners = _row_minima(d)
-    initial_labels = (np.cumsum(work.sizes > 0) - 1)[initial.labels]
-    sizes = work.sizes.tolist()
-    dead_slots = np.flatnonzero(work.sizes == 0).tolist()  # ascending
+    sizes = clustering.sizes.tolist()
+    dead_slots = np.flatnonzero(clustering.sizes == 0).tolist()  # ascending
     partners[dead_slots] = -1
     steps: list[MergeStep] = []
-    for k in range(initial.k, 1, -1):
+    for k in range(clustering.k, 1, -1):
         i_star = int(np.argmin(eta))
         j_star = int(partners[i_star])
         t_k = t_pair(sizes[i_star], sizes[j_star])
@@ -384,13 +385,13 @@ def run_merging(initial: Clustering) -> MergeRun:
             MergeStep(k=k, gamma=float(eta[i_star]), zeta=threshold(t_k), t=t_k, pair=pair)
         )
         if k > 2:
-            kept = work.merge(i_star, j_star)
+            kept = clustering.merge(i_star, j_star)
             emptied = i_star + j_star - kept
             sizes[kept] += sizes[emptied]
             sizes[emptied] = 0
             insort(dead_slots, emptied)
             floor[emptied] = np.inf
-            column = _refresh_distance(d, work, weights, within, floor, kept)
+            column = _refresh_distance(d, clustering, weights, within, floor, kept)
             _update_minima(d, eta, partners, column, floor, kept, emptied)
     return MergeRun(steps=steps, initial_labels=initial_labels)
 
@@ -408,9 +409,8 @@ def select_clustering(run: MergeRun) -> SelectionResult:
     """Pick the final clustering: the largest K whose score exceeds its
     threshold. When no score ever crosses, that is a detectable failure
     mode; the fallback is a single all-points cluster with crossed=False.
+    An empty trace, from a one-cluster start, has no crossing either.
     """
-    if not run.steps:
-        raise DegenerateInputError("empty merge trace")
     crossings = [s.k for s in run.steps if s.gamma > s.zeta]
     if not crossings:
         return SelectionResult(l_hat=1, labels=run.labels_at(1), crossed=False)

@@ -24,13 +24,13 @@ from .geometry import AngleCache, DataSet, compute_angles, normalize_rows
 class ClusterRun:
     """Everything produced by one clustering run.
 
-    ``angles`` keeps only the normalized points, O(N * n) memory, and
-    computes the angles ``selected_pair_angle_sets`` asks for on demand.
+    ``merge_run`` is the merge trace, empty when the run started from one
+    cluster. ``angles`` keeps only the normalized points, O(N * n) memory,
+    and computes the angles ``selected_pair_angle_sets`` asks for on demand.
     """
 
     selection: SelectionResult
-    merge_run: MergeRun | None
-    initial_k: int
+    merge_run: MergeRun
     angles: AngleCache
     data: DataSet
     elapsed_ms: float
@@ -39,10 +39,12 @@ class ClusterRun:
     def labels(self) -> np.ndarray:
         return self.selection.labels
 
+    @property
+    def initial_k(self) -> int:
+        return self.merge_run.initial_k
+
     def trace_rows(self) -> list[dict]:
         """Per-K (gamma, zeta, t) rows of the merge trace, largest K first."""
-        if self.merge_run is None:
-            return []
         return [
             {"k": s.k, "gamma": s.gamma, "zeta": s.zeta, "t": s.t} for s in self.merge_run.steps
         ]
@@ -55,7 +57,7 @@ class ClusterRun:
         its cross-angle set with the partner. These are the two
         distributions whose separation the selection decision rests on.
         """
-        if self.merge_run is None:
+        if not self.merge_run.steps:
             raise DegenerateInputError("run ended before any merge step; no pair to inspect")
         k = self.selection.l_hat if self.selection.crossed else 2
         step = self.merge_run.steps[self.merge_run.initial_k - k]
@@ -74,8 +76,10 @@ def cluster_dataset(
 
     Steps: project points onto the unit sphere, set up the angle cache,
     build the initial fine clustering (ally triples, or the caller-supplied
-    labels) from the angles it streams, merge down while recording scores,
-    and select the final clustering by the threshold crossing.
+    labels) from the angles it streams, merge it down in place while
+    recording scores, and select the final clustering by the threshold
+    crossing. A one-cluster start has nothing to merge and ends in the
+    no-crossing fallback. ``data`` and ``initial_labels`` are not modified.
     """
     started = time.perf_counter()
     normalized = normalize_rows(data)
@@ -84,20 +88,12 @@ def cluster_dataset(
         clustering = initial_clustering(angles, seed)
     else:
         clustering = Clustering.from_labels(angles, initial_labels)
-    initial_k = clustering.k
-    if initial_k < 2:
-        selection = SelectionResult(
-            l_hat=1, labels=np.zeros(data.n_points, dtype=np.int64), crossed=False
-        )
-        merge_run = None
-    else:
-        merge_run = run_merging(clustering)
-        selection = select_clustering(merge_run)
+    merge_run = run_merging(clustering)
+    selection = select_clustering(merge_run)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return ClusterRun(
         selection=selection,
         merge_run=merge_run,
-        initial_k=initial_k,
         angles=angles,
         data=normalized,
         elapsed_ms=elapsed_ms,

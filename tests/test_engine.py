@@ -244,13 +244,13 @@ class TestMemoryContract:
         _, peak = traced_peak(distance_matrix, clustering)
         assert peak <= 1.5 * self.P_BY_P
 
-    def test_run_merging_holds_its_copy_and_d(self):
-        # The input's copy is 2 P x P arrays and d is one; the merge loop
-        # itself adds O(P).
+    def test_run_merging_holds_d_alone(self):
+        # run_merging merges its input in place, so of the P x P arrays it
+        # adds only d; one block of d's set-up and the loop add O(P).
         clustering = wide_clustering()
         run, peak = traced_peak(run_merging, clustering)
         assert run.initial_k == 597
-        assert peak <= 3.5 * self.P_BY_P
+        assert peak <= 1.5 * self.P_BY_P
 
 
 class TestMergeStep:
@@ -434,20 +434,6 @@ class TestRunMerging:
             p, q = sorted(step.pair)
             sizes[p] += sizes.pop(q)
 
-    def test_input_not_mutated(self):
-        # Seven slots, one of them already emptied by a merge: run_merging
-        # merges a copy, and every array of its input stays bitwise as it was.
-        rng = np.random.default_rng(15)
-        cache = make_cache(unit_sphere_points(rng, 42, 8))
-        clustering = Clustering.from_labels(cache, np.arange(42) % 7)
-        clustering.merge(5, 2)
-        names = ["labels", "sizes", "sums", "sumsqs"]
-        before = {name: getattr(clustering, name).copy() for name in names}
-        run = run_merging(clustering)
-        assert run.initial_k == 6
-        for name in names:
-            assert getattr(clustering, name).tobytes() == before[name].tobytes(), name
-
     def test_deterministic_trace(self):
         data, cache = fig_trace_scenario(seed=3)
         a = run_merging(initial_clustering(cache, seed=5))
@@ -498,11 +484,15 @@ class TestRunMerging:
             assert ids.tolist() == list(range(k))
             assert counts.sum() == 48
 
-    def test_rejects_single_cluster(self):
+    def test_single_cluster_gives_an_empty_trace(self):
         cache = make_cache(two_bundle_points())
         clustering = Clustering.from_labels(cache, np.zeros(6, dtype=int))
-        with pytest.raises(DegenerateInputError):
-            run_merging(clustering)
+        run = run_merging(clustering)
+        assert run.steps == []
+        assert run.initial_k == 1
+        assert run.initial_labels.tolist() == [0] * 6
+        assert run.labels_at(1).tolist() == [0] * 6
+        assert clustering.k == 1
 
     @pytest.mark.parametrize(
         "generator, seed",
@@ -581,11 +571,24 @@ class TestRunMerging:
         clustering = Clustering.from_labels(make_cache(unit_sphere_points(rng, 40, 8)),
                                             np.arange(40) % 8)
         clustering.merge(6, 2)
+        initial = clustering.copy()
         run = run_merging(clustering)
         assert run.initial_k == run.steps[0].k == 7
         labels = run.labels_at(7)
-        for rank, slot in enumerate(clustering.live):
-            np.testing.assert_array_equal(labels == rank, clustering.labels == slot)
+        for rank, slot in enumerate(initial.live):
+            np.testing.assert_array_equal(labels == rank, initial.labels == slot)
+
+    def test_merges_its_input_down_to_two_clusters(self):
+        # run_merging consumes its input: the clustering it was given ends
+        # at K = 2, partitioned as labels_at(2).
+        rng = np.random.default_rng(15)
+        clustering = Clustering.from_labels(make_cache(unit_sphere_points(rng, 42, 8)),
+                                            np.arange(42) % 7)
+        run = run_merging(clustering)
+        assert run.initial_k == 7
+        assert clustering.k == 2
+        ranks = np.unique(clustering.labels, return_inverse=True)[1]
+        np.testing.assert_array_equal(run.labels_at(2), ranks)
 
 
 def synthetic_run(gammas, zetas, groups=5):
@@ -624,10 +627,12 @@ class TestSelectClustering:
             truth = data.labels[result.labels == cluster_id]
             assert np.unique(truth).size == 1
 
-    def test_empty_trace_rejected(self):
+    def test_empty_trace_falls_back_to_one_cluster(self):
         run = MergeRun(steps=[], initial_labels=np.zeros(5, dtype=np.int64))
-        with pytest.raises(DegenerateInputError):
-            select_clustering(run)
+        result = select_clustering(run)
+        assert not result.crossed
+        assert result.l_hat == 1
+        assert result.labels.tolist() == [0] * 5
 
 
 class TestNoCacheReadsDuringMerge:
@@ -659,9 +664,10 @@ class TestStaleSlotsAreNeverRead:
     def test_run_merging_trace_is_unchanged(self, monkeypatch):
         data, cache = fig_trace_scenario(seed=2)
         clustering = initial_clustering(cache, seed=0)
+        replay = clustering.copy()
         stale = run_merging(clustering)
         merge_then_poison(monkeypatch)
-        poisoned = run_merging(clustering)
+        poisoned = run_merging(replay)
         assert stale.initial_labels.tobytes() == poisoned.initial_labels.tobytes()
         assert [(s.k, s.gamma.hex(), s.zeta.hex(), s.t, s.pair) for s in stale.steps] == \
                [(s.k, s.gamma.hex(), s.zeta.hex(), s.t, s.pair) for s in poisoned.steps]

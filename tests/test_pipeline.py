@@ -21,7 +21,7 @@ class TestClusterDataset:
         data = DataSet(points=np.array([[1.0, 0.2], [0.5, 1.0], [1.0, 1.0]]))
         run = cluster_dataset(data, seed=0)
         assert run.initial_k == 1
-        assert run.merge_run is None
+        assert run.merge_run.steps == []
         assert not run.selection.crossed
         assert run.selection.l_hat == 1
         assert run.trace_rows() == []
@@ -89,6 +89,18 @@ class TestClusterDataset:
         size_j = int((labels == step.pair[1]).sum())
         assert within.size == size_i * (size_i - 1) // 2
         assert between.size == size_i * size_j
+
+    @pytest.mark.parametrize("seeding", ["allies", "init-labels"])
+    def test_the_callers_arrays_are_not_modified(self, seeding):
+        # The merge loop merges its clustering in place; that clustering is
+        # the pipeline's own, never the caller's points or labels.
+        data = gen_subspace_normal(SubspaceSpec(n=40, r=4, L=3, N=150, seed=3))
+        init = np.arange(150) % 30 if seeding == "init-labels" else None
+        arrays = [data.points, data.labels] + ([] if init is None else [init])
+        before = [array.tobytes() for array in arrays]
+        run = cluster_dataset(data, seed=0, initial_labels=init)
+        assert run.initial_k > 2
+        assert [array.tobytes() for array in arrays] == before
 
     def test_labels_deterministic_across_calls(self):
         rng = np.random.default_rng(3)

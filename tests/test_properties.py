@@ -200,8 +200,9 @@ def test_statistics_stay_consistent_through_any_merges(case):
 @given(small_clusterings())
 def test_labels_at_matches_an_in_place_merge_replay(case):
     clustering, _, _ = case
-    run = run_merging(clustering)
     work = clustering.copy()
+    run = run_merging(clustering)
+    assert work.k == run.initial_k
     for step in run.steps:
         # The live slots' ranks in slot order, found independently of labels_at.
         ranks = np.unique(work.labels, return_inverse=True)[1]
@@ -249,8 +250,9 @@ def test_cached_scores_equal_one_shot_scores_at_every_k(clustering):
     # full compute_scores scan of a fresh distance matrix: gamma bit for
     # bit, and the same pair.
     assume(clustering.k >= 2)
-    run = run_merging(clustering)
     work = clustering.copy()
+    run = run_merging(clustering)
+    assert work.k == run.initial_k
     for step in run.steps:
         scores = compute_scores(work)
         live = work.live
@@ -308,9 +310,6 @@ def test_any_finite_input_returns_or_raises_a_typed_error_deterministically(case
     assert np.array_equal(first.labels, second.labels)
     assert (first.selection.l_hat, first.selection.crossed, first.initial_k) == (
         second.selection.l_hat, second.selection.crossed, second.initial_k)
-    if first.merge_run is None:
-        assert second.merge_run is None
-        return
     assert np.array_equal(first.merge_run.initial_labels, second.merge_run.initial_labels)
     assert len(first.merge_run.steps) == len(second.merge_run.steps)
     for a, b in zip(first.merge_run.steps, second.merge_run.steps):
