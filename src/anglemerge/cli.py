@@ -109,7 +109,10 @@ def _run_into(args) -> tuple[ClusterRun, Path]:
 def _cmd_cluster(args) -> int:
     run, out = _run_into(args)
     report = _make_report(run, args.seed)
-    (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    # +inf (zeta at t < 2) as the number 1e999, which strict JSON parsers
+    # accept and json.loads reads as inf, not as the token Infinity.
+    text = json.dumps(report, indent=2).replace("Infinity", "1e999")
+    (out / "report.json").write_text(text + "\n")
     _save_label_file(out / "labels.csv", run.labels)
     print(json.dumps({k: report[k] for k in report if k != "trace"}))
     return EXIT_OK if run.selection.crossed else EXIT_NO_CROSSING

@@ -143,14 +143,6 @@ class Clustering:
                    for s, r in ((self.sums, fresh.sums), (self.sumsqs, fresh.sumsqs)))
 
 
-def _check_mergeable(clustering: Clustering) -> None:
-    if clustering.k < 2:
-        raise DegenerateInputError("need at least 2 clusters")
-    smallest = int(clustering.sizes[clustering.live].min())
-    if smallest < 3:
-        raise TooFewAnglesError(f"every cluster needs >= 3 points, smallest has {smallest}")
-
-
 def distance_matrix(clustering: Clustering) -> np.ndarray:
     """All pairwise slot distances d[k, l]; +inf on the diagonal and for empty slots.
 
@@ -171,7 +163,11 @@ def _merge_state(clustering: Clustering):
     within mean and variance ([:, 0] is ``_refresh_distance``'s scratch);
     and ``floor``, -inf at a live slot and +inf at an empty one, which
     ``np.fmax`` lays over a row of distances to mask the empty slots."""
-    _check_mergeable(clustering)
+    if clustering.k < 2:
+        raise DegenerateInputError("need at least 2 clusters")
+    smallest = int(clustering.sizes[clustering.live].min())
+    if smallest < 3:
+        raise TooFewAnglesError(f"every cluster needs >= 3 points, smallest has {smallest}")
     # Live sizes are >= 3, so every count is above 1. An empty slot counts
     # as 3 points: its stale, finite sums then give finite entries, as the
     # diagonal's within sums read as between sums do, until set to inf.
@@ -236,18 +232,15 @@ class ScoreSet:
     pair: tuple[int, int]
 
 
-def compute_scores(clustering: Clustering, d: np.ndarray | None = None) -> ScoreSet:
-    """Cluster scores eta_j = min_l d[j, l], the clustering score gamma =
-    min_j eta_j, and the mergeable pair attaining it, all in slot numbers.
+def compute_scores(clustering: Clustering) -> ScoreSet:
+    """Cluster scores eta_j = min_l d[j, l] over d = ``distance_matrix``,
+    the clustering score gamma = min_j eta_j, and the mergeable pair
+    attaining it, all in slot numbers.
 
     Empty slots score +inf and are never picked. Ties break to the smallest
     slot, then the smallest partner slot (argmin picks the first occurrence).
     """
-    if d is None:
-        d = distance_matrix(clustering)
-    else:
-        _check_mergeable(clustering)
-    eta, partners = _row_minima(d)
+    eta, partners = _row_minima(distance_matrix(clustering))
     i_star = int(np.argmin(eta))
     j_star = int(partners[i_star])
     return ScoreSet(eta=eta, partners=partners, gamma=float(eta[i_star]), pair=(i_star, j_star))
@@ -329,13 +322,13 @@ class MergeRun:
 
     def labels_at(self, k: int) -> np.ndarray:
         """Per-point labels of the clustering with k clusters, by replaying
-        the first initial_k - k merges."""
+        the first initial_k - k merges. k = 1 replays every record: the
+        K = 2 record holds the pair of the last merge, so every point then
+        has label 0."""
         if not isinstance(k, (int, np.integer)):
             raise DegenerateInputError(f"k must be an integer, got {k!r}")
-        if k == 1:
-            return np.zeros_like(self.initial_labels)
-        if not 2 <= k <= self.initial_k:
-            raise DegenerateInputError(f"k must be in [2, {self.initial_k}] or 1, got {k}")
+        if not 1 <= k <= self.initial_k:
+            raise DegenerateInputError(f"k must be in [1, {self.initial_k}], got {k}")
         groups = [[i] for i in range(self.initial_k)]
         for step in self.steps[: self.initial_k - k]:
             p, q = sorted(step.pair)
@@ -408,14 +401,13 @@ class SelectionResult:
 def select_clustering(run: MergeRun) -> SelectionResult:
     """Pick the final clustering: the largest K whose score exceeds its
     threshold. When no score ever crosses, that is a detectable failure
-    mode; the fallback is a single all-points cluster with crossed=False.
-    An empty trace, from a one-cluster start, has no crossing either.
+    mode, crossed=False, and K = 1: the single all-points cluster left
+    after the K = 2 record's merge. An empty trace, from a one-cluster
+    start, has no crossing either.
     """
     crossings = [s.k for s in run.steps if s.gamma > s.zeta]
-    if not crossings:
-        return SelectionResult(l_hat=1, labels=run.labels_at(1), crossed=False)
-    l_hat = max(crossings)
-    return SelectionResult(l_hat=l_hat, labels=run.labels_at(l_hat), crossed=True)
+    l_hat = max(crossings, default=1)
+    return SelectionResult(l_hat=l_hat, labels=run.labels_at(l_hat), crossed=bool(crossings))
 
 
 def initial_clustering(angles: AngleCache, seed: int) -> Clustering:

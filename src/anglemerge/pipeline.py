@@ -17,7 +17,7 @@ from .engine import (
     select_clustering,
 )
 from .errors import DegenerateInputError
-from .geometry import AngleCache, DataSet, compute_angles, normalize_rows
+from .geometry import AngleCache, DataSet, compute_angles, integer_seed, normalize_rows
 
 
 @dataclass
@@ -80,7 +80,9 @@ def cluster_dataset(
     recording scores, and select the final clustering by the threshold
     crossing. A one-cluster start has nothing to merge and ends in the
     no-crossing fallback. ``data`` and ``initial_labels`` are not modified.
+    ``seed`` must be a non-negative integer, even when no ally seeding uses it.
     """
+    seed = integer_seed(seed)
     started = time.perf_counter()
     normalized = normalize_rows(data)
     angles = compute_angles(normalized)

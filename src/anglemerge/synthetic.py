@@ -95,27 +95,31 @@ def _draw_coefficients(rng: np.random.Generator, count: int, r: int, sample) -> 
     return coef
 
 
-def _subspace_dataset(spec: SubspaceSpec, sample) -> DataSet:
-    rng = np.random.default_rng(spec.seed)
-    blocks, labels = [], []
-    for k, count in enumerate(_group_counts(spec.N, spec.L)):
-        basis = _haar_basis(rng, spec.n, spec.r)
-        coef = _draw_coefficients(rng, count, spec.r, sample)
-        blocks.append(coef @ basis.T)
-        labels.extend([k] * count)
-    return DataSet(points=np.vstack(blocks), labels=np.array(labels, dtype=np.int64))
+def _subspace_dataset(spec: SubspaceSpec, rng: np.random.Generator, basis, sample) -> DataSet:
+    # The L subspaces' points in label order. For each, basis(rng) draws its
+    # n x r basis, then sample(rng, shape) its coefficients.
+    counts = _group_counts(spec.N, spec.L)
+    blocks = []
+    for count in counts:
+        q = basis(rng)
+        blocks.append(_draw_coefficients(rng, count, spec.r, sample) @ q.T)
+    labels = np.repeat(np.arange(spec.L, dtype=np.int64), counts)
+    return DataSet(points=np.vstack(blocks), labels=labels)
 
 
 def gen_subspace_normal(spec: SubspaceSpec) -> DataSet:
     """Fully-random model: Haar-uniform subspaces, standard-normal
     coordinates (uniform on the subspace sphere after normalization)."""
-    return _subspace_dataset(spec, np.random.Generator.standard_normal)
+    return _subspace_dataset(spec, np.random.default_rng(spec.seed),
+                             lambda rng: _haar_basis(rng, spec.n, spec.r),
+                             np.random.Generator.standard_normal)
 
 
 def gen_subspace_uniform(spec: SubspaceSpec) -> DataSet:
     """Haar-uniform subspaces with standard-uniform (U[0,1], uncentered)
     coordinates; within-subspace angles skew below pi/2."""
-    return _subspace_dataset(spec, _standard_uniform)
+    return _subspace_dataset(spec, np.random.default_rng(spec.seed),
+                             lambda rng: _haar_basis(rng, spec.n, spec.r), _standard_uniform)
 
 
 def gen_subspace_dependent(spec: SubspaceSpec) -> DataSet:
@@ -129,14 +133,9 @@ def gen_subspace_dependent(spec: SubspaceSpec) -> DataSet:
     """
     rng = np.random.default_rng(spec.seed)
     pool = _haar_basis(rng, spec.n, spec.n)
-    blocks, labels = [], []
-    for k, count in enumerate(_group_counts(spec.N, spec.L)):
-        picks = rng.choice(spec.n, size=spec.r, replace=False)
-        basis = pool[:, picks]
-        coef = _draw_coefficients(rng, count, spec.r, _standard_uniform)
-        blocks.append(coef @ basis.T)
-        labels.extend([k] * count)
-    return DataSet(points=np.vstack(blocks), labels=np.array(labels, dtype=np.int64))
+    return _subspace_dataset(
+        spec, rng, lambda rng: pool[:, rng.choice(spec.n, size=spec.r, replace=False)],
+        _standard_uniform)
 
 
 def gen_dp(spec: DPSpec) -> DataSet:

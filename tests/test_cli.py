@@ -81,6 +81,24 @@ class TestSynthAndCluster:
         assert report["crossed"] is False
         assert report["l_hat"] == 1
 
+    def test_report_is_strict_json_when_zeta_is_infinite(self, tmp_path):
+        # A record with t = 1 has zeta = +inf; the report writes it as the
+        # number 1e999, not the non-standard token Infinity.
+        path = tmp_path / "small.csv"
+        assert run_cli("synth", "--model", "normal", "--n", "30", "--r", "3", "--l", "2",
+                       "--num-points", "100", "--seed", "0", "--out", str(path)) == EXIT_OK
+        out = tmp_path / "run"
+        code = run_cli("cluster", "--input", str(path), "--labeled", "--seed", "0",
+                       "--out", str(out))
+        assert code in (EXIT_OK, EXIT_NO_CROSSING)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        rows = [row for row in report["trace"] if row["t"] < 2]
+        assert rows and all(row["zeta"] == np.inf for row in rows)
+
     @pytest.mark.parametrize("command", ["cluster", "trace"])
     def test_one_initial_cluster_exits_two(self, subspace_csv, tmp_path, command):
         # One initial cluster leaves nothing to merge: no trace, no pair.

@@ -167,20 +167,26 @@ class TestComputeScores:
         assert scores.pair in ((0, 1), (1, 0))
         assert scores.gamma == pytest.approx(min(d[0, 1], d[1, 0]))
 
+    @staticmethod
+    def scores_of(d):
+        """compute_scores' rule on a given d: the row minima, then the
+        argmin of eta and that row's partner."""
+        eta, partners = _row_minima(d)
+        i_star = int(np.argmin(eta))
+        return eta, partners, (i_star, int(partners[i_star]))
+
     def test_matrix_example_argmins(self):
-        clustering = self.clustering_with_k_groups(4, 3)
         d = np.array([[np.inf, 0.1, 0.5], [0.2, np.inf, 0.9], [0.5, 0.8, np.inf]])
-        scores = compute_scores(clustering, d)
-        np.testing.assert_allclose(scores.eta, [0.1, 0.2, 0.5])
-        assert scores.gamma == pytest.approx(0.1)
-        assert scores.pair == (0, 1)
+        eta, _, pair = self.scores_of(d)
+        np.testing.assert_allclose(eta, [0.1, 0.2, 0.5])
+        assert eta[pair[0]] == pytest.approx(0.1)
+        assert pair == (0, 1)
 
     def test_tie_breaks_to_smallest_partner(self):
-        clustering = self.clustering_with_k_groups(4, 3)
         d = np.array([[np.inf, 0.1, 0.1], [0.1, np.inf, 0.9], [0.1, 0.9, np.inf]])
-        scores = compute_scores(clustering, d)
-        assert scores.partners[0] == 1
-        assert scores.pair == (0, 1)
+        _, partners, pair = self.scores_of(d)
+        assert partners[0] == 1
+        assert pair == (0, 1)
 
     def test_rejects_small_cluster(self):
         rng = np.random.default_rng(3)
@@ -410,6 +416,20 @@ class TestRunMerging:
             run.labels_at(2.5)
         np.testing.assert_array_equal(run.labels_at(np.int64(2)), run.labels_at(2))
 
+    def test_labels_at_spans_one_to_initial_k(self):
+        # K = 1 replays every record, the K = 2 record's merge included.
+        rng = np.random.default_rng(6)
+        run = run_merging(initial_clustering(make_cache(unit_sphere_points(rng, 80, 10)), seed=0))
+        assert run.initial_k > 2
+        ones = run.labels_at(1)
+        assert ones.dtype == run.initial_labels.dtype
+        assert ones.tolist() == [0] * 80
+        np.testing.assert_array_equal(run.labels_at(run.initial_k), run.initial_labels)
+        for k in (0, run.initial_k + 1):
+            with pytest.raises(DegenerateInputError,
+                               match=rf"k must be in \[1, {run.initial_k}\], got {k}"):
+                run.labels_at(k)
+
     def test_trace_shape_and_thresholds(self):
         rng = np.random.default_rng(6)
         cache = make_cache(unit_sphere_points(rng, 80, 10))
@@ -507,9 +527,7 @@ class TestRunMerging:
         work = initial_clustering(compute_angles(normalize_rows(data)), seed=seed)
         d, weights, within, floor = _merge_state(work)
         while work.k > 2:
-            live = np.ix_(work.live, work.live)
-            i_star, j_star = compute_scores(work, d[live]).pair
-            i_star, j_star = work.live[i_star], work.live[j_star]
+            i_star, j_star = compute_scores(work).pair
             kept = work.merge(i_star, j_star)
             floor[max(i_star, j_star)] = np.inf
             _refresh_distance(d, work, weights, within, floor, kept)

@@ -50,9 +50,11 @@ class TestClusterDataset:
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_a_negative_or_non_integer_seed_is_rejected(self, seed):
+        # With caller labels too, although the ally seeding never runs.
         data = gen_subspace_normal(SubspaceSpec(n=30, r=3, L=2, N=60, seed=0))
-        with pytest.raises(DegenerateInputError, match="seed must be a non-negative integer"):
-            cluster_dataset(data, seed=seed)
+        for init in (None, np.arange(60) // 5):
+            with pytest.raises(DegenerateInputError, match="seed must be a non-negative integer"):
+                cluster_dataset(data, seed=seed, initial_labels=init)
 
     @pytest.mark.parametrize("bad", ["nan", "fractional", "inf", "-inf"])
     def test_non_integer_initial_labels_are_rejected(self, bad):
