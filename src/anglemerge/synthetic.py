@@ -4,6 +4,13 @@ Dirichlet-process mixture.
 All generators are deterministic given the spec's seed and attach
 ground-truth labels. Points are returned un-normalized; the clustering
 pipeline projects onto the unit sphere itself.
+
+Each generator fills one N x n points array: a subspace generator writes
+each subspace's coefficient product straight into its rows, so a call
+holds the points and one subspace's coefficients, never a second copy of
+the points. A drawn row that is exactly zero, the one row the sphere
+projection cannot take, is drawn again; any other row is kept, however
+small or large its norm.
 """
 
 from __future__ import annotations
@@ -15,9 +22,6 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .geometry import DataSet, integer_seed
-
-# Generated rows with norm below this are drawn again.
-ZERO_NORM_EPS = 1e-300
 
 
 @dataclass
@@ -88,23 +92,26 @@ def _draw_coefficients(rng: np.random.Generator, count: int, r: int, sample) -> 
     # (probability-zero) all-zero coordinate rows so downstream
     # normalization never sees a zero vector.
     coef = sample(rng, (count, r))
-    bad = np.linalg.norm(coef, axis=1) < ZERO_NORM_EPS
+    bad = ~coef.any(axis=1)
     while bad.any():
         coef[bad] = sample(rng, (int(bad.sum()), r))
-        bad = np.linalg.norm(coef, axis=1) < ZERO_NORM_EPS
+        bad = ~coef.any(axis=1)
     return coef
 
 
 def _subspace_dataset(spec: SubspaceSpec, rng: np.random.Generator, basis, sample) -> DataSet:
     # The L subspaces' points in label order. For each, basis(rng) draws its
-    # n x r basis, then sample(rng, shape) its coefficients.
+    # n x r basis, then sample(rng, shape) its coefficients, whose product
+    # with the basis is written into the subspace's rows of points.
     counts = _group_counts(spec.N, spec.L)
-    blocks = []
+    points = np.empty((spec.N, spec.n))
+    stop = 0
     for count in counts:
         q = basis(rng)
-        blocks.append(_draw_coefficients(rng, count, spec.r, sample) @ q.T)
+        start, stop = stop, stop + count
+        np.matmul(_draw_coefficients(rng, count, spec.r, sample), q.T, out=points[start:stop])
     labels = np.repeat(np.arange(spec.L, dtype=np.int64), counts)
-    return DataSet(points=np.vstack(blocks), labels=labels)
+    return DataSet(points=points, labels=labels)
 
 
 def gen_subspace_normal(spec: SubspaceSpec) -> DataSet:
@@ -158,8 +165,10 @@ def gen_dp(spec: DPSpec) -> DataSet:
             k = int(rng.choice(len(counts), p=probs))
             labels[i] = k
             counts[k] += 1
-    # A huge spread may overflow a coordinate (caught below) or a square in
-    # the norm (the row is then far from zero anyway).
+    # A huge spread may overflow a coordinate to inf, or to nan where two
+    # infinities of opposite signs add; the check below rejects both. Only
+    # an all-zero row is drawn again: a tiny spread's rows, whose squares
+    # underflow to 0, are kept for normalize_rows to scale.
     with np.errstate(over="ignore", invalid="ignore"):
         centroids = rng.normal(0.0, spec.rho, size=(len(counts), spec.n))
         points = np.empty((spec.N, spec.n))
@@ -167,7 +176,7 @@ def gen_dp(spec: DPSpec) -> DataSet:
         while bad.any():
             noise = rng.normal(0.0, spec.sigma, size=(int(bad.sum()), spec.n))
             points[bad] = centroids[labels[bad]] + noise
-            bad = np.linalg.norm(points, axis=1) < ZERO_NORM_EPS
+            bad = ~points.any(axis=1)
     if not np.isfinite(points).all():
         raise DegenerateInputError(f"rho={spec.rho}, sigma={spec.sigma} overflow a coordinate")
     return DataSet(points=points, labels=labels)

@@ -1,10 +1,19 @@
 """Shared helpers for the test suite."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
+import anglemerge
 from anglemerge import geometry
+
+# Seconds a fresh interpreter may run before the test fails; none of them
+# needs more than a few, and a hung one must fail instead of hanging the suite.
+SUBPROCESS_TIMEOUT = 120
 
 
 def unit_sphere_points(rng, n_points, dim):
@@ -44,3 +53,14 @@ def traced_peak(call, *args):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def run_python(code, **env):
+    """stdout of ``code`` run in a fresh interpreter that imports this
+    package, with ``env`` added to the environment."""
+    src = str(Path(anglemerge.__file__).resolve().parents[1])
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True, timeout=SUBPROCESS_TIMEOUT)
+    return result.stdout.strip()

@@ -10,7 +10,7 @@ from anglemerge.cli import EXIT_ERROR, EXIT_NO_CROSSING, EXIT_OK, _save_label_fi
 from anglemerge.geometry import DataSet, save_points_csv
 from anglemerge.pipeline import cluster_dataset
 from anglemerge.synthetic import SubspaceSpec, gen_subspace_dependent
-from helpers import unit_sphere_points
+from helpers import SUBPROCESS_TIMEOUT, unit_sphere_points
 
 
 def run_cli(*argv):
@@ -515,9 +515,9 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("rho", ["1e200", "1e308"])
     def test_huge_dp_spread_prints_no_warning(self, tmp_path, rho):
-        # At 1e200 the squares in the zero-norm check overflow, at 1e308 the
-        # coordinates themselves: the first succeeds with an empty stderr,
-        # the second is one error line naming the spread.
+        # At 1e200 every coordinate is finite, at 1e308 some overflow: the
+        # first succeeds with an empty stderr, the second is one error line
+        # naming the spread.
         argv = ["synth", "--model", "dp", "--rho", rho, "--out", str(tmp_path / "dp.csv")]
         result = subprocess.run([sys.executable, "-m", "anglemerge.cli", *argv],
                                 capture_output=True, text=True)
@@ -527,6 +527,19 @@ class TestErrorPaths:
             assert result.returncode == EXIT_ERROR
             assert_one_line_error(result.stderr)
             assert "rho=1e+308" in result.stderr
+
+    def test_tiny_dp_spread_returns(self, tmp_path):
+        # Every row's squares underflow to 0, but no row is zero, so none is
+        # drawn again. The timeout fails a generator that redraws them
+        # forever instead of hanging the suite.
+        out = tmp_path / "dp.csv"
+        argv = ["synth", "--model", "dp", "--rho", "1e-200", "--sigma", "1e-200",
+                "--n", "10", "--num-points", "5", "--out", str(out)]
+        result = subprocess.run([sys.executable, "-m", "anglemerge.cli", *argv],
+                                capture_output=True, text=True, timeout=SUBPROCESS_TIMEOUT)
+        assert (result.returncode, result.stderr) == (EXIT_OK, "")
+        points = np.loadtxt(out, delimiter=",")[:, :-1]
+        assert np.isfinite(points).all() and points.any(axis=1).all()
 
     @pytest.mark.parametrize("command", ["cluster", "trace", "synth", "bench"])
     def test_negative_seed_is_rejected_by_every_command(self, capsys, command):

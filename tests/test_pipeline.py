@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -11,7 +6,7 @@ from anglemerge.errors import DegenerateInputError
 from anglemerge.geometry import DataSet
 from anglemerge.pipeline import cluster_dataset
 from anglemerge.synthetic import SubspaceSpec, gen_subspace_normal
-from helpers import unit_sphere_points
+from helpers import run_python, unit_sphere_points
 
 
 class TestClusterDataset:
@@ -111,17 +106,6 @@ class TestClusterDataset:
         b = cluster_dataset(data, seed=4)
         np.testing.assert_array_equal(a.labels, b.labels)
         assert a.selection.l_hat == b.selection.l_hat
-
-
-def run_python(code, **env):
-    """stdout of ``code`` run in a fresh interpreter that imports this
-    package, with ``env`` added to the environment."""
-    src = str(Path(anglemerge.__file__).resolve().parents[1])
-    env = {**os.environ, **env,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-c", code],
-                            capture_output=True, text=True, env=env, check=True)
-    return result.stdout.strip()
 
 
 LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"

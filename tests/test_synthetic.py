@@ -9,11 +9,19 @@ from anglemerge.geometry import DataSet, compute_angles, normalize_rows
 from anglemerge.synthetic import (
     DPSpec,
     SubspaceSpec,
+    _draw_coefficients,
     gen_dp,
     gen_subspace_dependent,
     gen_subspace_normal,
     gen_subspace_uniform,
 )
+from helpers import run_python, traced_peak
+
+GENERATORS = {
+    "normal": gen_subspace_normal,
+    "uniform": gen_subspace_uniform,
+    "dependent": gen_subspace_dependent,
+}
 
 
 def membership_residual(data: DataSet) -> float:
@@ -37,6 +45,32 @@ def angle_values(data: DataSet, same_label: bool) -> np.ndarray:
     if same_label:
         return np.concatenate([cache.within_values(g) for g in groups])
     return np.concatenate([cache.cross_values(a, b) for a, b in combinations(groups, 2)])
+
+
+def stacked_reference(model: str, spec: SubspaceSpec) -> np.ndarray:
+    """The points of ``model`` at ``spec``, drawn from the same rng sequence
+    as its generator, each subspace's product made on its own and the L
+    products stacked with np.vstack."""
+    rng = np.random.default_rng(spec.seed)
+
+    def haar(dim):
+        return np.linalg.qr(rng.standard_normal((spec.n, dim)))[0]
+
+    pool = haar(spec.n) if model == "dependent" else None
+    base, extra = divmod(spec.N, spec.L)
+    blocks = []
+    for label in range(spec.L):
+        count = base + (1 if label < extra else 0)
+        if model == "dependent":
+            q = pool[:, rng.choice(spec.n, size=spec.r, replace=False)]
+        else:
+            q = haar(spec.r)
+        if model == "normal":
+            coef = rng.standard_normal((count, spec.r))
+        else:
+            coef = rng.uniform(0.0, 1.0, size=(count, spec.r))
+        blocks.append(coef @ q.T)
+    return np.vstack(blocks)
 
 
 class TestSpecs:
@@ -63,6 +97,34 @@ class TestSpecs:
                 spread = {"rho": 1.0, "sigma": 1.0, "alpha": 1.0, name: value}
                 with pytest.raises(DegenerateInputError, match=name):
                     DPSpec(n=10, N=50, **spread)
+
+
+class TestSubspacePoints:
+    @pytest.mark.parametrize("model", GENERATORS)
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("L, N", [(1, 500), (7, 1000)], ids=["one-subspace", "N-mod-L-6"])
+    def test_points_equal_the_stacked_products(self, model, seed, L, N):
+        spec = SubspaceSpec(n=100, r=10, L=L, N=N, seed=seed)
+        got = GENERATORS[model](spec).points
+        want = stacked_reference(model, spec)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("model", GENERATORS)
+    @pytest.mark.parametrize("L", [1, 7])
+    def test_peak_memory_is_about_one_points_array(self, model, L):
+        # The points, one subspace's coefficients (N/L x r) and the bases:
+        # 1.14-1.16 N x n arrays at r=10. Stacking per-subspace products
+        # held the points twice, 2.14-2.16.
+        spec = SubspaceSpec(n=100, r=10, L=L, N=5000, seed=0)
+        _, peak = traced_peak(GENERATORS[model], spec)
+        assert peak < 1.75 * 8 * spec.N * spec.n
+
+    def test_only_all_zero_coefficient_rows_are_drawn_again(self):
+        draws = iter([np.array([[0.0, 0.0], [1e-200, 0.0], [0.0, -1e-320]]),
+                      np.array([[2.0, 3.0]])])
+        coef = _draw_coefficients(np.random.default_rng(0), 3, 2, lambda rng, shape: next(draws))
+        np.testing.assert_array_equal(coef, [[2.0, 3.0], [1e-200, 0.0], [0.0, -1e-320]])
 
 
 class TestSubspaceNormal:
@@ -199,6 +261,22 @@ class TestDirichletProcess:
             for rho, sigma in ((1e308, 1.0), (1.0, 1e308), (1e308, 1e308)):
                 with pytest.raises(DegenerateInputError, match="rho=.*sigma="):
                     gen_dp(DPSpec(n=10, N=60, rho=rho, sigma=sigma, seed=13))
+
+    def test_tiny_spread_returns_rows_normalize_rows_accepts(self):
+        # Every row's squares underflow to 0, but no row is zero. A fresh
+        # interpreter with a timeout, so that a generator which draws such
+        # rows again forever fails the test instead of hanging the suite.
+        out = run_python(
+            "import numpy as np\n"
+            "from anglemerge.geometry import normalize_rows\n"
+            "from anglemerge.synthetic import DPSpec, gen_dp\n"
+            "for spread in (1e-200, 1e-320):\n"
+            "    data = gen_dp(DPSpec(n=10, N=50, rho=spread, sigma=spread, seed=0))\n"
+            "    unit = normalize_rows(data).points\n"
+            "    print(np.isfinite(data.points).all() and data.points.any(axis=1).all(),\n"
+            "          np.allclose(np.linalg.norm(unit, axis=1), 1.0))\n"
+        )
+        assert out.split() == ["True"] * 4
 
     def test_a_negative_seed_is_rejected(self):
         with pytest.raises(DegenerateInputError, match="seed must be a non-negative integer"):
