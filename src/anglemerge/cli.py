@@ -46,6 +46,9 @@ from .synthetic import (
 REPORT_SCHEMA = 1
 HISTOGRAM_BINS = 50
 
+# The report fields of a bench trial row, in column order after "trial".
+_BENCH_FIELDS = ("seed", "l_true", "l_hat", "abs_l_error", "ce", "nmi", "crossed", "elapsed_ms")
+
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_CROSSING = 2
@@ -118,8 +121,7 @@ def _cmd_cluster(args) -> int:
     return EXIT_OK if run.selection.crossed else EXIT_NO_CROSSING
 
 
-def _build_synthetic(args, seed: int | None = None) -> DataSet:
-    seed = args.seed if seed is None else seed
+def _build_synthetic(args, seed: int) -> DataSet:
     if args.model == "dp":
         spec = DPSpec(
             n=args.n, N=args.num_points, rho=args.rho, sigma=args.sigma,
@@ -136,7 +138,7 @@ def _build_synthetic(args, seed: int | None = None) -> DataSet:
 
 
 def _cmd_synth(args) -> int:
-    data = _build_synthetic(args)
+    data = _build_synthetic(args, args.seed)
     save_points_csv(args.out, data)
     print(json.dumps({"written": str(args.out), "n_points": data.n_points, "model": args.model}))
     return EXIT_OK
@@ -155,31 +157,19 @@ def _cmd_bench(args) -> int:
     rows = []
     for trial in range(args.trials):
         seed = args.seed + trial
-        data = _build_synthetic(args, seed=seed)
-        run = cluster_dataset(data, seed=seed)
-        l_true = int(np.unique(data.labels).size)
-        rows.append(
-            {
-                "trial": trial,
-                "seed": seed,
-                "l_true": l_true,
-                "l_hat": run.selection.l_hat,
-                "abs_l_error": abs_cluster_count_error(l_true, run.selection.l_hat),
-                "ce": clustering_error(data.labels, run.labels),
-                "nmi": nmi(data.labels, run.labels),
-                "crossed": int(run.selection.crossed),
-                "elapsed_ms": run.elapsed_ms,
-            }
-        )
+        run = cluster_dataset(_build_synthetic(args, seed), seed=seed)
+        report = _make_report(run, seed)
+        row = {"trial": trial, **{field: report[field] for field in _BENCH_FIELDS}}
+        row["crossed"] = int(row["crossed"])
+        rows.append(row)
     metrics = ("ce", "nmi", "abs_l_error")
     summary = {
         "mean": {m: float(np.mean([r[m] for r in rows])) for m in metrics},
         "median": {m: float(np.median([r[m] for r in rows])) for m in metrics},
         "std": {m: float(np.std([r[m] for r in rows])) for m in metrics},
     }
-    fields = list(rows[0].keys())
     with open(args.out, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fields)
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
         for stat, values in summary.items():

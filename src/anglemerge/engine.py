@@ -431,16 +431,15 @@ def initial_clustering(angles: AngleCache, seed: int) -> Clustering:
     rng = np.random.default_rng(seed)
     start = int(rng.integers(n))
 
+    ring = [*range(start, n), *range(start)]
     assign = [-1] * n
     next_id = 0
-    for offset in range(n):
-        p = (start + offset) % n
+    for p in ring:
         a1, a2 = allies[p]
         if assign[p] < 0 and assign[a1] < 0 and assign[a2] < 0:
             assign[p] = assign[a1] = assign[a2] = next_id
             next_id += 1
-    for offset in range(n):
-        p = (start + offset) % n
+    for p in ring:
         if assign[p] < 0:
             a1, a2 = allies[p]
             assign[p] = assign[a1] if assign[a1] >= 0 else assign[a2]

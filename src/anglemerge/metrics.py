@@ -51,30 +51,32 @@ def clustering_error(truth, pred) -> float:
 
 
 def _entropy(counts: np.ndarray) -> float:
-    p = counts[counts > 0] / counts.sum()
+    # The nonzero counts are summed in sorted order, so that two tables
+    # holding the same counts give bitwise-equal entropies.
+    counts = np.sort(counts[counts > 0])
+    p = counts / counts.sum()
     return float(-(p * np.log(p)).sum())
 
 
 def nmi(truth, pred) -> float:
     """Normalized mutual information with plug-in entropies (natural log),
-    normalized by the mean of the two partition entropies.
+    normalized by the mean of the two partition entropies, in [0, 1].
 
-    When both partitions are trivial (a single cluster each) the ratio is
-    0/0 and is defined as 1: identical partitions deserve full credit.
+    The mutual information is H(pred) + H(truth) - H(pred, truth). Two
+    partitions that are equal up to relabeling have the same sorted cluster
+    sizes in all three terms, so their NMI is exactly 1, and swapping the
+    arguments gives the same bits. When both partitions are trivial (a
+    single cluster each) the ratio is 0/0 and is defined as 1: identical
+    partitions deserve full credit.
     """
     truth, pred = _dense_pair(truth, pred)
-    table = _confusion(truth, pred).astype(np.float64)
-    n = table.sum()
-    joint = table / n
-    p_pred = joint.sum(axis=1)
-    p_true = joint.sum(axis=0)
-    denom = 0.5 * (_entropy(p_pred * n) + _entropy(p_true * n))
+    table = _confusion(truth, pred)
+    h_pred, h_true = _entropy(table.sum(axis=1)), _entropy(table.sum(axis=0))
+    denom = 0.5 * (h_pred + h_true)
     if denom == 0.0:
         return 1.0
-    outer = np.outer(p_pred, p_true)
-    mask = joint > 0
-    info = float((joint[mask] * np.log(joint[mask] / outer[mask])).sum())
-    return info / denom
+    info = h_pred + h_true - _entropy(table)
+    return min(max(info / denom, 0.0), 1.0)
 
 
 def abs_cluster_count_error(l_true: int, l_hat: int) -> int:

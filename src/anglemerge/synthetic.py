@@ -5,12 +5,13 @@ All generators are deterministic given the spec's seed and attach
 ground-truth labels. Points are returned un-normalized; the clustering
 pipeline projects onto the unit sphere itself.
 
-Each generator fills one N x n points array: a subspace generator writes
-each subspace's coefficient product straight into its rows, so a call
-holds the points and one subspace's coefficients, never a second copy of
-the points. A drawn row that is exactly zero, the one row the sphere
-projection cannot take, is drawn again; any other row is kept, however
-small or large its norm.
+A subspace generator writes each subspace's coefficient product straight
+into its rows of one N x n points array, so a call holds the points and
+one subspace's coefficients; the DP generator adds each point's centroid
+into its noise in place, so a call holds about two N x n arrays. In every
+generator a drawn row that is exactly zero, the one row the sphere
+projection cannot take, is drawn again (``_nonzero_rows``); any other row
+is kept, however small or large its norm.
 """
 
 from __future__ import annotations
@@ -83,20 +84,16 @@ def _haar_basis(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
     return q
 
 
-def _standard_uniform(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
-    return rng.uniform(0.0, 1.0, size=shape)
-
-
-def _draw_coefficients(rng: np.random.Generator, count: int, r: int, sample) -> np.ndarray:
-    # count x r coordinates from sample(rng, shape). Redraw any
-    # (probability-zero) all-zero coordinate rows so downstream
-    # normalization never sees a zero vector.
-    coef = sample(rng, (count, r))
-    bad = ~coef.any(axis=1)
+def _nonzero_rows(count: int, draw) -> np.ndarray:
+    # count rows from draw(mask), which returns a fresh row for each True
+    # entry of mask; the (probability-zero) rows that are exactly zero are
+    # drawn again.
+    rows = draw(np.ones(count, dtype=bool))
+    bad = ~rows.any(axis=1)
     while bad.any():
-        coef[bad] = sample(rng, (int(bad.sum()), r))
-        bad = ~coef.any(axis=1)
-    return coef
+        rows[bad] = draw(bad)
+        bad = ~rows.any(axis=1)
+    return rows
 
 
 def _subspace_dataset(spec: SubspaceSpec, rng: np.random.Generator, basis, sample) -> DataSet:
@@ -109,7 +106,8 @@ def _subspace_dataset(spec: SubspaceSpec, rng: np.random.Generator, basis, sampl
     for count in counts:
         q = basis(rng)
         start, stop = stop, stop + count
-        np.matmul(_draw_coefficients(rng, count, spec.r, sample), q.T, out=points[start:stop])
+        coef = _nonzero_rows(count, lambda mask: sample(rng, (int(mask.sum()), spec.r)))
+        np.matmul(coef, q.T, out=points[start:stop])
     labels = np.repeat(np.arange(spec.L, dtype=np.int64), counts)
     return DataSet(points=points, labels=labels)
 
@@ -126,7 +124,8 @@ def gen_subspace_uniform(spec: SubspaceSpec) -> DataSet:
     """Haar-uniform subspaces with standard-uniform (U[0,1], uncentered)
     coordinates; within-subspace angles skew below pi/2."""
     return _subspace_dataset(spec, np.random.default_rng(spec.seed),
-                             lambda rng: _haar_basis(rng, spec.n, spec.r), _standard_uniform)
+                             lambda rng: _haar_basis(rng, spec.n, spec.r),
+                             np.random.Generator.random)
 
 
 def gen_subspace_dependent(spec: SubspaceSpec) -> DataSet:
@@ -142,7 +141,7 @@ def gen_subspace_dependent(spec: SubspaceSpec) -> DataSet:
     pool = _haar_basis(rng, spec.n, spec.n)
     return _subspace_dataset(
         spec, rng, lambda rng: pool[:, rng.choice(spec.n, size=spec.r, replace=False)],
-        _standard_uniform)
+        np.random.Generator.random)
 
 
 def gen_dp(spec: DPSpec) -> DataSet:
@@ -165,18 +164,20 @@ def gen_dp(spec: DPSpec) -> DataSet:
             k = int(rng.choice(len(counts), p=probs))
             labels[i] = k
             counts[k] += 1
+
+    def draw(mask):
+        # The masked points' noise, with their centroids added in place.
+        noise = rng.normal(0.0, spec.sigma, size=(int(mask.sum()), spec.n))
+        noise += centroids[labels[mask]]
+        return noise
+
     # A huge spread may overflow a coordinate to inf, or to nan where two
-    # infinities of opposite signs add; the check below rejects both. Only
-    # an all-zero row is drawn again: a tiny spread's rows, whose squares
-    # underflow to 0, are kept for normalize_rows to scale.
+    # infinities of opposite signs add; the check below rejects both. A tiny
+    # spread's rows, whose squares underflow to 0, are kept for
+    # normalize_rows to scale.
     with np.errstate(over="ignore", invalid="ignore"):
         centroids = rng.normal(0.0, spec.rho, size=(len(counts), spec.n))
-        points = np.empty((spec.N, spec.n))
-        bad = np.ones(spec.N, dtype=bool)
-        while bad.any():
-            noise = rng.normal(0.0, spec.sigma, size=(int(bad.sum()), spec.n))
-            points[bad] = centroids[labels[bad]] + noise
-            bad = ~points.any(axis=1)
+        points = _nonzero_rows(spec.N, draw)
     if not np.isfinite(points).all():
         raise DegenerateInputError(f"rho={spec.rho}, sigma={spec.sigma} overflow a coordinate")
     return DataSet(points=points, labels=labels)

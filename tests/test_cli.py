@@ -252,6 +252,24 @@ class TestBench:
         assert summary["mean"]["nmi"] == 1.0
         assert summary["std"]["abs_l_error"] == 0.0
 
+    @pytest.mark.parametrize("model", ["dependent", "dp"])
+    def test_trial_rows_equal_the_cluster_reports(self, model, tmp_path, capsys):
+        shape = ["--model", model, "--l", "6", "--num-points", "300"]
+        out = tmp_path / "bench.csv"
+        code = run_cli("bench", *shape, "--trials", "2", "--seed", "4", "--out", str(out))
+        assert code == EXIT_OK
+        with open(out) as handle:
+            rows = [r for r in csv.DictReader(handle) if r["trial"].isdigit()]
+        assert [r["seed"] for r in rows] == ["4", "5"]
+        for row in rows:
+            data, run = tmp_path / f"data{row['seed']}.csv", tmp_path / f"run{row['seed']}"
+            assert run_cli("synth", *shape, "--seed", row["seed"], "--out", str(data)) == EXIT_OK
+            run_cli("cluster", "--input", str(data), "--labeled", "--seed", row["seed"],
+                    "--out", str(run))
+            report = json.loads((run / "report.json").read_text())
+            for field in ("l_true", "l_hat", "abs_l_error", "ce", "nmi"):
+                assert float(row[field]) == report[field], field
+            assert int(row["crossed"]) == report["crossed"]
 
     def test_zero_trials_is_a_typed_error(self, tmp_path, capsys):
         code = run_cli(

@@ -126,6 +126,21 @@ class TestNmi:
             value = nmi(truth, pred)
             assert -1e-12 <= value <= 1 + 1e-12
 
+    def test_a_relabelled_partition_is_exactly_one(self):
+        # Summed in any other order, the three entropies of a perfect
+        # clustering can differ in their last bits and read above 1.
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            k = int(rng.integers(2, 12))
+            truth = rng.integers(0, k, int(rng.integers(3, 400)))
+            relabelled = rng.permutation(k + 3)[truth]
+            assert nmi(truth, relabelled) == 1.0
+            noisy = np.where(rng.random(truth.size) < 0.3, rng.integers(0, k, truth.size),
+                             relabelled)
+            value = nmi(truth, noisy)
+            assert 0.0 <= value <= 1.0
+            assert value == nmi(noisy, truth)
+
     def test_both_trivial_defined_as_one(self):
         assert nmi([0, 0, 0], [1, 1, 1]) == 1.0
 

@@ -4,12 +4,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from anglemerge import synthetic
 from anglemerge.errors import DegenerateInputError
 from anglemerge.geometry import DataSet, compute_angles, normalize_rows
 from anglemerge.synthetic import (
     DPSpec,
     SubspaceSpec,
-    _draw_coefficients,
+    _nonzero_rows,
     gen_dp,
     gen_subspace_dependent,
     gen_subspace_normal,
@@ -73,6 +74,50 @@ def stacked_reference(model: str, spec: SubspaceSpec) -> np.ndarray:
     return np.vstack(blocks)
 
 
+def dp_reference(spec: DPSpec) -> DataSet:
+    """The DP dataset at ``spec`` drawn from the same rng sequence as gen_dp,
+    with each round's rows filled as points[bad] = centroids[labels[bad]] +
+    noise in a separate points array."""
+    rng = np.random.default_rng(spec.seed)
+    labels = np.empty(spec.N, dtype=np.int64)
+    counts = []
+    for i in range(spec.N):
+        if i == 0 or rng.uniform() < spec.alpha / (i + spec.alpha):
+            labels[i] = len(counts)
+            counts.append(1)
+        else:
+            k = int(rng.choice(len(counts), p=np.asarray(counts, dtype=np.float64) / i))
+            labels[i] = k
+            counts[k] += 1
+    centroids = rng.normal(0.0, spec.rho, size=(len(counts), spec.n))
+    points = np.empty((spec.N, spec.n))
+    bad = np.ones(spec.N, dtype=bool)
+    while bad.any():
+        noise = rng.normal(0.0, spec.sigma, size=(int(bad.sum()), spec.n))
+        points[bad] = centroids[labels[bad]] + noise
+        bad = ~points.any(axis=1)
+    return DataSet(points=points, labels=labels)
+
+
+class ScriptedDPRng:
+    """Stands in for gen_dp's rng: every point joins the first cluster, and
+    normal() returns the scripted arrays in turn."""
+
+    def __init__(self, normals):
+        self.normals = iter(normals)
+        self.sizes = []
+
+    def uniform(self):
+        return 1.0
+
+    def choice(self, k, p):
+        return 0
+
+    def normal(self, loc, scale, size):
+        self.sizes.append(size)
+        return np.array(next(self.normals), dtype=np.float64)
+
+
 class TestSpecs:
     def test_subspace_spec_validation(self):
         with pytest.raises(DegenerateInputError):
@@ -123,8 +168,15 @@ class TestSubspacePoints:
     def test_only_all_zero_coefficient_rows_are_drawn_again(self):
         draws = iter([np.array([[0.0, 0.0], [1e-200, 0.0], [0.0, -1e-320]]),
                       np.array([[2.0, 3.0]])])
-        coef = _draw_coefficients(np.random.default_rng(0), 3, 2, lambda rng, shape: next(draws))
+        masks = []
+
+        def draw(mask):
+            masks.append(mask.tolist())
+            return next(draws)
+
+        coef = _nonzero_rows(3, draw)
         np.testing.assert_array_equal(coef, [[2.0, 3.0], [1e-200, 0.0], [0.0, -1e-320]])
+        assert masks == [[True, True, True], [True, False, False]]
 
 
 class TestSubspaceNormal:
@@ -221,6 +273,36 @@ class TestSubspaceDependent:
 
 
 class TestDirichletProcess:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("rho, sigma", [(3.0, 1.0), (9.0, 1.0), (1e200, 1.0),
+                                            (1e-200, 1e-200)])
+    def test_points_equal_the_separate_array_fill(self, rho, sigma, seed):
+        spec = DPSpec(n=20, N=300, rho=rho, sigma=sigma, seed=seed)
+        got, want = gen_dp(spec), dp_reference(spec)
+        assert (got.points.dtype, got.points.shape) == (want.points.dtype, want.points.shape)
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.labels.dtype == want.labels.dtype
+        assert got.labels.tobytes() == want.labels.tobytes()
+
+    def test_peak_memory_is_about_two_points_arrays(self):
+        # The noise and the centroids gathered for it: 2.02 N x n arrays.
+        # Adding the gather into a separate points array held three, 3.02.
+        spec = DPSpec(n=100, N=5000, rho=5.0, sigma=1.0, seed=0)
+        _, peak = traced_peak(gen_dp, spec)
+        assert peak < 2.25 * 8 * spec.N * spec.n
+
+    def test_only_all_zero_rows_are_drawn_again(self, monkeypatch):
+        # One cluster with centroid (1, 2). The first noise row cancels it
+        # exactly, the third leaves a row of norm 2**-52, which is kept.
+        rng = ScriptedDPRng([[[1.0, 2.0]],
+                             [[-1.0, -2.0], [0.0, 1.0], [-1.0, -2.0 + 2.0**-52]],
+                             [[5.0, 5.0]]])
+        monkeypatch.setattr(synthetic.np.random, "default_rng", lambda seed: rng)
+        data = gen_dp(DPSpec(n=2, N=3, rho=1.0, sigma=1.0))
+        np.testing.assert_array_equal(data.points, [[6.0, 7.0], [1.0, 3.0], [0.0, 2.0**-52]])
+        np.testing.assert_array_equal(data.labels, [0, 0, 0])
+        assert rng.sizes == [(1, 2), (3, 2), (1, 2)]
+
     def test_tiny_alpha_single_cluster(self):
         data = gen_dp(DPSpec(n=10, N=200, rho=5.0, sigma=1.0, alpha=1e-12, seed=9))
         assert np.unique(data.labels).size == 1
