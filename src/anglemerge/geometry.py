@@ -7,8 +7,9 @@ points and computes angles a block of rows at a time, when a pass reads
 them; no N x N array is ever made. Seeding makes two passes of
 O(N^2 * n) each: ``two_nearest`` over full rows of inner products, with
 no arccos, and ``grouped_sums`` over the upper triangle of the angles,
-with arccos of N^2 / 2 entries. Memory is O(N * n + _BLOCK * N + P^2)
-for P groups.
+with arccos of N^2 / 2 entries. Besides the points, ``two_nearest`` holds
+O(_BLOCK * N) products at a time, and ``grouped_sums`` one tile of
+O(_BLOCK * _TILE_ROWS) angles beside its P x P store for P groups.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ from .errors import DegenerateInputError, ZeroRowError
 _NORM_RANGE = (2.0**-500, 2.0**500)
 # Rows of the angle matrix formed at a time by the O(N^2) passes.
 _BLOCK = 256
+# Fewest rows of a tile of a block's angles that ``grouped_sums`` forms at
+# a time, unless the block's rows fit in one tile; a tile holds fewer than
+# twice as many, plus the rest of a group that straddles its end.
+_TILE_ROWS = 2 * _BLOCK
 
 
 @dataclass
@@ -134,7 +139,8 @@ class AngleCache:
     array is ever made: each accessor computes the rows it needs as one
     matrix product of a block of at most _BLOCK rows against the points,
     so the working memory is O(N * n + _BLOCK * N) besides what an
-    accessor returns.
+    accessor returns. ``grouped_sums`` forms that product a tile of rows
+    at a time, O(_BLOCK * _TILE_ROWS).
 
     ``reads`` counts accessor calls; the merge loop must leave it untouched
     once the initial statistics are built, which test builds assert.
@@ -209,15 +215,22 @@ class AngleCache:
         is filled here.
 
         The points are taken in the order of a stable sort by group, so a
-        block of rows I holds one contiguous range of groups g0..g1. One
-        pass over the upper triangle of theta in that order, a block at a
-        time: the angles theta[i, j] with i in I and j > i (the diagonal
-        and everything left of it zeroed, since arccos(x . x) need not be
-        exactly 0) are summed through a sparse one-hot matrix,
-        onehot[g0:g1, I] @ theta[I, J] @ onehot[g0:, J].T, into rows g0..g1
-        of an upper-triangular P x P matrix U. The pass costs O(N^2 * n)
-        for the products, with arccos on the N^2 / 2 angles, and adds a
-        (g1 - g0) x (P - g0) array per block. U's strict upper triangle is
+        block of rows I holds one contiguous range of groups g0..g1, and a
+        tile of rows J one range h0..h1. One pass over the upper triangle
+        of theta in that order, a block at a time, each block's angles
+        against the rows from its own first one on formed a tile at a
+        time: the angles theta[i, j] with i in I, j in J and j > i (the
+        diagonal and everything left of it zeroed, since arccos(x . x)
+        need not be exactly 0) are summed through a sparse one-hot matrix,
+        onehot[g0:g1, I] @ theta[I, J] @ onehot[h0:h1, J].T, into rows
+        g0..g1 and columns h0..h1 of an upper-triangular P x P matrix U.
+        A tile is cut only at a group's first row (``_tile_stop``), so a
+        group's angles to a block are summed whole, in the order of the
+        points, in one tile, and U does not depend on the tile size. The
+        pass costs O(N^2 * n) for the products, with arccos on the N^2 / 2
+        angles, and holds one tile of fewer than 2 * _TILE_ROWS x _BLOCK
+        angles, unless one group is longer than _TILE_ROWS, and a
+        (g1 - g0) x (h1 - h0) array at a time. U's strict upper triangle is
         then copied onto its lower one in place, both halves at once, a
         strip of _BLOCK columns at a time, so the store is the only P x P
         array made; the two halves are bitwise symmetric.
@@ -244,19 +257,27 @@ class AngleCache:
         for start in range(0, n, _BLOCK):
             stop = min(start + _BLOCK, n)
             size = stop - start
-            # theta[start:, start:stop], the transpose of the block's rows
-            # theta[start:stop, start:]: the sparse product reads it by rows.
-            block = _arccos(points[start:] @ points[start:stop].T)
-            np.copyto(block[:size], 0.0, where=~below[:size, :size])
             g0, g1 = labels[start], labels[stop - 1] + 1
-            rows, cols = onehot[g0:g1, start:stop], onehot[g0:, start:]
-            # scipy copies a dense operand that is not C-ordered while that
-            # operand and the result are alive; copied here, the untransposed
-            # product is freed before the result is allocated.
-            upper[g0:g1, g0:] += rows @ np.ascontiguousarray((cols @ block).T)
-            np.square(block, out=block)
-            upper_sq[g0:g1, g0:] += rows @ np.ascontiguousarray((cols @ block).T)
-            del block  # freed before the next block's product is formed
+            rows = onehot[g0:g1, start:stop]
+            tile_start = start
+            while tile_start < n:
+                tile_stop = _tile_stop(labels, tile_start)
+                # theta[tile, start:stop], the transpose of the block's rows
+                # theta[start:stop, tile]: the sparse product reads it by rows.
+                tile = _arccos(points[tile_start:tile_stop] @ points[start:stop].T)
+                if tile_start < stop:  # the tile's first rows are the block's own
+                    skip, lead = tile_start - start, min(tile_stop, stop) - tile_start
+                    np.copyto(tile[:lead], 0.0, where=~below[skip : skip + lead, :size])
+                h0, h1 = labels[tile_start], labels[tile_stop - 1] + 1
+                cols = onehot[h0:h1, tile_start:tile_stop]
+                # scipy copies a dense operand that is not C-ordered while that
+                # operand and the result are alive; copied here, the untransposed
+                # product is freed before the result is allocated.
+                upper[g0:g1, h0:h1] += rows @ np.ascontiguousarray((cols @ tile).T)
+                np.square(tile, out=tile)
+                upper_sq[g0:g1, h0:h1] += rows @ np.ascontiguousarray((cols @ tile).T)
+                del tile  # freed before the next tile's product is formed
+                tile_start = tile_stop
         # Both halves are mirrored at once, each pair moved as one number.
         for start in range(0, n_groups, _BLOCK):
             stop = start + _BLOCK
@@ -265,6 +286,22 @@ class AngleCache:
             strict = below[: len(square), : len(square)]
             square[strict] = square.T[strict]
         return store
+
+
+def _tile_stop(labels: np.ndarray, start: int) -> int:
+    """End of the tile of group-ordered rows that begins at ``start``: the
+    first group's first row at least _TILE_ROWS rows on, or the end of the
+    rows when fewer than _TILE_ROWS would be left after the tile. A group
+    thus lies in one tile, and no tile of a block that spans several is
+    short. The tiles' angles must equal the rows of the block's whole
+    product bit for bit, and BLAS may round a product of a few rows in
+    another kernel: OpenBLAS rounds a product of one row, or of up to four
+    rows of 256 columns, otherwise than a longer one."""
+    n = len(labels)
+    if n - start < 2 * _TILE_ROWS:
+        return n
+    cut = int(np.searchsorted(labels, labels[start + _TILE_ROWS - 1], side="right"))
+    return cut if n - cut >= _TILE_ROWS else n
 
 
 def _arccos(gram: np.ndarray) -> np.ndarray:

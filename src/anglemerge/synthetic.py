@@ -8,10 +8,11 @@ pipeline projects onto the unit sphere itself.
 A subspace generator writes each subspace's coefficient product straight
 into its rows of one N x n points array, so a call holds the points and
 one subspace's coefficients; the DP generator adds each point's centroid
-into its noise in place, so a call holds about two N x n arrays. In every
-generator a drawn row that is exactly zero, the one row the sphere
-projection cannot take, is drawn again (``_nonzero_rows``); any other row
-is kept, however small or large its norm.
+into its noise in place, a chunk of rows at a time, so a call holds about
+one N x n array. In every generator a drawn row that is exactly zero, the
+one row the sphere projection cannot take, is drawn again
+(``_nonzero_rows``); any other row is kept, however small or large its
+norm.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .geometry import DataSet, integer_seed
+
+# Rows of centroids ``gen_dp`` gathers at a time to add into its noise.
+_GATHER_ROWS = 1024
 
 
 @dataclass
@@ -166,9 +170,12 @@ def gen_dp(spec: DPSpec) -> DataSet:
             counts[k] += 1
 
     def draw(mask):
-        # The masked points' noise, with their centroids added in place.
+        # The masked points' noise, with their centroids added in place a
+        # chunk of rows at a time, so no gathered copy of all of them is made.
         noise = rng.normal(0.0, spec.sigma, size=(int(mask.sum()), spec.n))
-        noise += centroids[labels[mask]]
+        rows = labels[mask]
+        for start in range(0, rows.size, _GATHER_ROWS):
+            noise[start : start + _GATHER_ROWS] += centroids[rows[start : start + _GATHER_ROWS]]
         return noise
 
     # A huge spread may overflow a coordinate to inf, or to nan where two

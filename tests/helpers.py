@@ -7,6 +7,9 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+# `import numpy` leaves numpy.random to load at its first use; loaded here,
+# it is not counted in the first call a test traces with `traced_peak`.
+import numpy.random  # noqa: F401
 
 import anglemerge
 from anglemerge import geometry

@@ -239,6 +239,25 @@ class TestAngleCacheAccess:
         np.testing.assert_allclose(sums, expect_sum, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(sumsqs, expect_sq, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("labels", [
+        np.arange(2051) // 4,
+        np.repeat([*range(256), 256, 257], [4] * 256 + [2, 1025]),
+    ], ids=["three-row-rest", "two-rows-before-a-long-group"])
+    def test_grouped_sums_tiles_equal_the_whole_block_product(self, labels):
+        # Under a rule that cut tiles of at most 1024 rows, these labels
+        # would leave a tile of 3 rows, or of 2, in a block of several
+        # tiles, and OpenBLAS rounds so short a product otherwise than the
+        # block's whole one. Tiles of at least _TILE_ROWS rows keep the
+        # store bit-identical.
+        rng = np.random.default_rng(19)
+        cache = compute_angles(DataSet(points=unit_sphere_points(rng, len(labels), 100)))
+        n_groups = int(labels.max()) + 1
+        tiled = cache.grouped_sums(labels, n_groups)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "_TILE_ROWS", len(labels))
+            whole = cache.grouped_sums(labels, n_groups)
+        assert tiled.tobytes() == whole.tobytes()
+
     def test_grouped_sums_are_bitwise_symmetric(self):
         # The initial distance matrix reads the k-l cross set from both
         # (k, l) and (l, k); they must be the same number.
@@ -285,16 +304,18 @@ class TestAngleCacheAccess:
     @pytest.mark.parametrize("n_points", [600, 3600])
     def test_grouped_sums_hold_their_results_and_one_block(self, n_points):
         # P=600 groups. Besides the two P x P results, the pass holds one
-        # block of angles and, for its sparse products, two _BLOCK x P
-        # arrays; one more such array is slack for the one-hot slices and
-        # index arrays. With 1 point per group, two more P x P arrays would
-        # break the limit; with 6, a second block would.
+        # tile of a block's angles, fewer than 2 * _TILE_ROWS rows of
+        # _BLOCK, and, for its sparse products, two _BLOCK x P arrays; one
+        # more such array is slack for the one-hot slices and index arrays.
+        # With 1 point per group, two more P x P arrays would break the
+        # limit; with 6, a block's angles against all N - start later rows
+        # would (16.1 MB at N=3600, against a limit of 11.5 MB).
         n_groups, block = 600, geometry._BLOCK
         rng = np.random.default_rng(16)
         cache = compute_angles(DataSet(points=unit_sphere_points(rng, n_points, 8)))
         labels = rng.permutation(np.arange(n_points) % n_groups)
         _, peak = traced_peak(cache.grouped_sums, labels, n_groups)
-        assert peak <= 8 * (2 * n_groups**2 + block * (n_points + 3 * n_groups))
+        assert peak <= 8 * (2 * n_groups**2 + block * (2 * geometry._TILE_ROWS + 3 * n_groups))
 
     def test_read_counter_increments(self):
         rng = np.random.default_rng(8)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from anglemerge import geometry
 from anglemerge.engine import (
     Clustering,
     MergeRun,
@@ -20,7 +21,7 @@ from anglemerge.engine import (
     select_clustering,
 )
 from anglemerge.errors import AngleMergeError
-from anglemerge.geometry import DataSet, compute_angles, normalize_rows
+from anglemerge.geometry import AngleCache, DataSet, compute_angles, normalize_rows
 from anglemerge.metrics import clustering_error, nmi
 from anglemerge.pipeline import cluster_dataset
 from helpers import ally_key, angle_oracle, unit_sphere_points
@@ -149,6 +150,45 @@ def test_grouped_sums_match_the_oracle_across_row_blocks(seed, n_points, n_group
         np.add.at(expected, (b[cross], a[cross]), values[cross])
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
         assert np.array_equal(got, got.T)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 9), min_size=1, max_size=80),
+       st.integers(65, 300), st.data())
+def test_grouped_sums_do_not_depend_on_the_tile_rows(seed, sizes, big, data):
+    # Groups of 0-9 points, 0 making an empty group, and one of 65-300
+    # points, longer than every tile tried. The coordinates are multiples
+    # of 1/16 with |x . y| < 1, so every inner product is exact in any
+    # order of addition: this test is about how the tiles sum, not about
+    # how BLAS rounds a product of a few rows (see geometry._tile_stop).
+    sizes.insert(data.draw(st.integers(0, len(sizes))), big)
+    rng = np.random.default_rng(seed)
+    points = rng.integers(-3, 4, size=(sum(sizes), 6)) / 16.0
+    assignment = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    cache = AngleCache(points)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_TILE_ROWS", len(points))
+        whole = cache.grouped_sums(assignment, len(sizes)).tobytes()
+        for rows in (1, 7, 64):
+            patch.setattr(geometry, "_TILE_ROWS", rows)
+            assert cache.grouped_sums(assignment, len(sizes)).tobytes() == whole
+
+
+@SMALL
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=60), st.integers(1, 64), st.data())
+def test_tiles_hold_whole_groups_and_are_never_short(sizes, rows, data):
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    firsts = set(np.cumsum([0, *sizes]).tolist())
+    start = data.draw(st.integers(0, len(labels) - 1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_TILE_ROWS", rows)
+        cuts = [start]
+        while cuts[-1] < len(labels):
+            cuts.append(geometry._tile_stop(labels, cuts[-1]))
+    tiles = np.diff(cuts)
+    assert set(cuts[1:]) <= firsts
+    assert len(tiles) == 1 or tiles.min() >= rows
+    assert tiles.max() < 2 * rows + max(sizes)
 
 
 @SMALL
