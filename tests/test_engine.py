@@ -4,6 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from anglemerge import engine
 from anglemerge.engine import (
     _DISTANCE_BLOCK,
     Clustering,
@@ -23,6 +24,7 @@ from anglemerge.engine import (
 )
 from anglemerge.errors import DegenerateInputError, TooFewAnglesError
 from anglemerge.geometry import DataSet, compute_angles, normalize_rows
+from anglemerge.pipeline import cluster_dataset
 from anglemerge.stats import bhattacharyya, moments, t_pair
 from anglemerge.synthetic import SubspaceSpec, gen_subspace_dependent, gen_subspace_normal
 from helpers import traced_peak, unit_sphere_points
@@ -583,6 +585,25 @@ class TestRunMerging:
             tracemalloc.stop()
         assert len(run.steps) == n_slots - 1
         assert kept < 8 * n_slots**2 / 8
+
+    def test_a_merge_rescans_few_rows(self, monkeypatch):
+        # The loop's O(P^2) claim, pinned on a count that does not drift
+        # with the host: after the first full scan a merge rescans only the
+        # kept row and the rows whose partner it merged, about 2 at P=923.
+        scanned = []
+        row_minima = engine._row_minima
+
+        def counting(rows):
+            scanned.append(rows.shape[0])
+            return row_minima(rows)
+
+        monkeypatch.setattr(engine, "_row_minima", counting)
+        data = gen_subspace_normal(SubspaceSpec(n=100, r=10, L=10, N=4000, seed=0))
+        run = cluster_dataset(data, seed=0).merge_run
+        merges = len(run.steps) - 1
+        assert merges > 900
+        assert scanned[0] == run.initial_k and len(scanned) == merges + 1
+        assert sum(scanned[1:]) < 4 * merges
 
     def test_starts_from_a_clustering_with_empty_slots(self):
         rng = np.random.default_rng(13)

@@ -5,6 +5,8 @@ import pytest
 
 from anglemerge.errors import DegenerateInputError
 from anglemerge.metrics import abs_cluster_count_error, clustering_error, nmi
+from anglemerge.pipeline import cluster_dataset
+from anglemerge.synthetic import SubspaceSpec, gen_subspace_dependent
 
 
 def brute_force_ce(truth, pred):
@@ -52,29 +54,20 @@ class TestClusteringError:
                 brute_force_ce(*_densify(truth, pred)), abs=1e-12
             ), f"trial {trial}"
 
-    @pytest.mark.parametrize("shape", ["random", "one-row", "one-column"])
+    @pytest.mark.parametrize("shape", ["random", "one-row", "one-column", "ties", "fine"])
     def test_matches_linear_sum_assignment_beyond_brute_force(self, shape):
-        # The program matches on the sparse graph; the dense Hungarian
-        # solver on the zero-padded square table is the oracle here.
+        # The dense Hungarian solver on the zero-padded square table is the
+        # oracle for the program's own matching.
         from scipy.optimize import linear_sum_assignment
 
-        rng = np.random.default_rng({"random": 4, "one-row": 5, "one-column": 6}[shape])
-        for trial in range(60):
-            size = int(rng.integers(1, 400))
-            n_true, n_pred = (int(v) for v in rng.integers(1, 61, 2))
-            if shape == "one-row":
-                n_pred = 1
-            elif shape == "one-column":
-                n_true = 1
-            truth = rng.integers(0, n_true, size)
-            pred = rng.integers(0, n_pred, size)
+        for trial, (truth, pred) in enumerate(_label_pairs(shape)):
             t, p = _densify(truth, pred)
             table = np.zeros((p.max() + 1, t.max() + 1), dtype=np.int64)
             np.add.at(table, (p, t), 1)
             padded = np.zeros((max(table.shape),) * 2, dtype=np.int64)
             padded[: table.shape[0], : table.shape[1]] = table
             rows, cols = linear_sum_assignment(padded, maximize=True)
-            expected = 1.0 - padded[rows, cols].sum() / size
+            expected = 1.0 - padded[rows, cols].sum() / truth.size
             assert clustering_error(truth, pred) == expected, f"trial {trial}"
             assert clustering_error(pred, truth) == expected, f"trial {trial}"
 
@@ -96,6 +89,34 @@ def _densify(truth, pred):
     _, t = np.unique(truth, return_inverse=True)
     _, p = np.unique(pred, return_inverse=True)
     return t, p
+
+
+def _label_pairs(shape):
+    """(truth, pred) label pairs whose confusion tables have one shape."""
+    if shape == "fine":
+        # Two seedings of one input: about 130 initial clusters a side, most
+        # of them splitting one another's points.
+        data = gen_subspace_dependent(SubspaceSpec(n=100, r=10, L=12, N=600, seed=0))
+        yield tuple(cluster_dataset(data, seed=seed).merge_run.initial_labels
+                    for seed in (0, 1))
+        return
+    rng = np.random.default_rng(
+        {"random": 4, "one-row": 5, "one-column": 6, "ties": 7}[shape])
+    for _ in range(60):
+        if shape == "ties":
+            # Counts of 0, 1 or 2, so that many matchings share the optimum.
+            table = rng.integers(0, 3, tuple(rng.integers(1, 61, 2)))
+            table[0, 0] = max(table[0, 0], 1)
+            pred, truth = np.nonzero(table)
+            yield np.repeat(truth, table[pred, truth]), np.repeat(pred, table[pred, truth])
+            continue
+        size = int(rng.integers(1, 400))
+        n_true, n_pred = (int(v) for v in rng.integers(1, 61, 2))
+        if shape == "one-row":
+            n_pred = 1
+        elif shape == "one-column":
+            n_true = 1
+        yield rng.integers(0, n_true, size), rng.integers(0, n_pred, size)
 
 
 class TestNmi:

@@ -115,12 +115,18 @@ LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.partition('.')[0] == 's
     "import anglemerge",
     "import anglemerge.cli",
     "from anglemerge import cli; cli.main(['synth', '--model', 'normal', '--n', '20', '--r', '2',"
-    " '--l', '2', '--num-points', '30', '--seed', '0', '--out', OUT])",
-], ids=["package", "cli", "synth"])
+    " '--l', '2', '--num-points', '30', '--seed', '0', '--out', DIR + '/synth.csv'])",
+    "from anglemerge import clustering_error; print(clustering_error([0, 0, 1, 2], [1, 1, 0, 0]))",
+    "from anglemerge import cli; cli.main(['eval', '--truth', DIR + '/truth.csv',"
+    " '--pred', DIR + '/pred.csv'])",
+], ids=["package", "cli", "synth", "clustering-error", "eval"])
 def test_entry_point_loads_no_scipy_module(entry, tmp_path):
     # Each scipy module the package uses takes about 0.2 s to load, so it is
-    # imported by the function that needs it, not by the package.
-    out = run_python(f"import sys\nOUT = {str(tmp_path / 'synth.csv')!r}\n{entry}\n{LOADED_SCIPY}")
+    # imported by the function that needs it, not by the package. Scoring
+    # needs none: the clustering error matches clusters in numpy.
+    (tmp_path / "truth.csv").write_text("0\n0\n1\n1\n2\n")
+    (tmp_path / "pred.csv").write_text("1\n1\n0\n2\n2\n")
+    out = run_python(f"import sys\nDIR = {str(tmp_path)!r}\n{entry}\n{LOADED_SCIPY}")
     assert out.splitlines()[-1] == "[]"
 
 
@@ -136,24 +142,27 @@ def test_clustering_loads_scipy_sparse_but_not_scipy_stats():
     assert out == "True False"
 
 
-@pytest.mark.parametrize("command", [
-    "cli.main(['synth', '--model', 'normal', '--n', '20', '--r', '2', '--l', '2',"
-    " '--num-points', '60', '--seed', '0', '--out', DIR + '/points.csv'])\n"
-    "cli.main(['cluster', '--input', DIR + '/points.csv', '--labeled', '--seed', '0',"
-    " '--out', DIR + '/run'])",
-    "cli.main(['eval', '--truth', DIR + '/truth.csv', '--pred', DIR + '/pred.csv'])",
+@pytest.mark.parametrize("command, clusters", [
+    ("cli.main(['synth', '--model', 'normal', '--n', '20', '--r', '2', '--l', '2',"
+     " '--num-points', '60', '--seed', '0', '--out', DIR + '/points.csv'])\n"
+     "cli.main(['cluster', '--input', DIR + '/points.csv', '--labeled', '--seed', '0',"
+     " '--out', DIR + '/run'])", True),
+    ("cli.main(['eval', '--truth', DIR + '/truth.csv', '--pred', DIR + '/pred.csv'])", False),
 ], ids=["cluster-labeled", "eval"])
-def test_scoring_loads_neither_scipy_optimize_nor_scipy_stats(command, tmp_path):
-    # The clustering error's matching comes from scipy.sparse.csgraph;
-    # scipy.optimize would add about 0.2 s to every scored call.
+def test_scoring_loads_neither_scipy_optimize_nor_scipy_stats(command, clusters, tmp_path):
+    # The clustering error matches clusters in numpy; scipy.optimize's
+    # solver would add about 0.2 s to every scored call, and
+    # scipy.sparse.csgraph's 0.07 s. A clustering loads scipy.sparse alone,
+    # for the grouped sums.
     (tmp_path / "truth.csv").write_text("0\n0\n1\n1\n2\n")
     (tmp_path / "pred.csv").write_text("1\n1\n0\n2\n2\n")
     out = run_python(
         f"import sys\nfrom anglemerge import cli\nDIR = {str(tmp_path)!r}\n{command}\n"
-        "print('scipy.optimize' in sys.modules, 'scipy.stats' in sys.modules)"
+        "print([m in sys.modules for m in"
+        " ('scipy.sparse', 'scipy.sparse.csgraph', 'scipy.optimize', 'scipy.stats')])"
     )
     assert '"ce": ' in out  # the command scored a run
-    assert out.splitlines()[-1] == "False False"
+    assert out.splitlines()[-1] == str([clusters, False, False, False])
 
 
 RUN_HASH = """
