@@ -4,8 +4,9 @@ and threshold-based selection of the final cluster count.
 The engine never touches coordinates. It reads the AngleCache only while
 seeding, in two O(N^2 * n) passes: one for each point's two allies (the
 two largest |x . y| in its row), one for the per-cluster sufficient
-statistics, one symmetric complex P x P store of (sum, sum of squares)
-pairs with the within sums on the diagonal. From then on every merge is a
+statistics, one P x P float64 store with each slot pair's angle sum on or
+above the diagonal and its sum of squares transposed below it, and the
+within sums of squares in a P-vector. From then on every merge is a
 purely additive update of those statistics: merging clusters a and b
 turns their cross-angle set into within-angle mass, so
 
@@ -13,20 +14,24 @@ turns their cross-angle set into within-angle mass, so
     between_new,k = between_a,k + between_b,k   for every other k
 
 with no angle ever re-read. Clusters keep their P initial slots, so a
-merge costs O(P), with no per-merge copies. A merge of slot q into slot
-p reads statistics rows p and q and writes row p and, in one strided
-pass, column p; in the distance matrix d it writes row p whole and
+merge costs O(P), with no per-merge copies: points are relabelled once,
+when their labels are read. A merge of slot q into slot p reads rows p
+and q of the store and, in strided passes, columns p and q, and writes
+row p and column p. In the distance matrix d it writes row p whole and
 column p in one strided pass, both from one ``moments`` and one
-``bhattacharyya`` call over all P slots. It reads no column. The emptied
-slot's rows and columns, of the statistics and of d, are left stale and
-masked wherever a whole row is read. ``run_merging`` caches each slot's
-row minimum (Muellner, arXiv:1109.2378), so merging is O(P^2) overall
-when few rows lose their partner per merge, O(P^3) at worst, and its
-trace records O(1) values per K.
+``bhattacharyya`` call over all P slots, which write into buffers kept
+for the run; it reads no column of d. The emptied slot's rows and
+columns, of the store and of d, are left stale and masked wherever a
+whole row is read. ``run_merging`` caches each slot's row minimum
+(Muellner, arXiv:1109.2378), so merging is O(P^2) overall when few rows
+lose their partner per merge, O(P^3) at worst, and its trace records
+O(1) values per K. While merging, the store and d are the only P x P
+arrays.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
@@ -36,8 +41,9 @@ from .errors import DegenerateInputError, TooFewAnglesError
 from .geometry import AngleCache, integer_labels, integer_seed
 from .stats import bhattacharyya, moments, t_pair
 
-# Entries of d that distance_matrix computes at a time, in whole rows (at
-# least one): each temporary of a block is then about 128 KB.
+# Entries of d that distance_matrix computes at a time, in rows (at least
+# one) from the block's diagonal rightwards, with their mirror below it:
+# each temporary of a block is then at most about 128 KB.
 _DISTANCE_BLOCK = 2**14
 
 __all__ = [
@@ -59,22 +65,27 @@ __all__ = [
 class Clustering:
     """A partition of the points into P fixed slots, with additive angle statistics.
 
-    ``labels[i]`` is the slot of point i. ``pairs`` is the symmetric
-    complex P x P store that ``grouped_sums`` returns: pairs[k, l] is the
-    (sum, sum of squares) pair of the k-l cross-angle set, and pairs[k, k]
-    that of slot k's within-angle set. ``sums`` and ``sumsqs`` are its
-    real and imaginary parts, writable views.
+    ``labels[i]`` is the slot of point i. The statistics are the P x P
+    float64 ``store`` and the P-vector ``within_sq`` that ``grouped_sums``
+    returns. For k < l, store[k, l] sums the k-l cross angles and
+    store[l, k] their squares; store[k, k] sums slot k's within angles and
+    within_sq[k] their squares. ``sums`` and ``sumsqs`` read them as two
+    symmetric P x P matrices, for oracles and tests.
     Counts are implied: C(size_k, 2) within, size_k * size_l between. A
-    merge relabels one slot's points, empties it and moves no other slot.
-    A slot is dead when its size is 0; its statistics are then stale and
-    never read. ``k`` counts the live slots, ``live`` lists them.
+    merge empties one slot and moves no other slot. A slot is dead when
+    its size is 0; its statistics are then stale and never read. ``k``
+    counts the live slots, ``live`` lists them.
     """
 
-    def __init__(self, labels, pairs):
-        self.labels = labels
-        self.sizes = np.bincount(labels, minlength=pairs.shape[0])
-        self.pairs = pairs
-        self.sums, self.sumsqs = pairs.real, pairs.imag
+    def __init__(self, labels, store, within_sq):
+        self._labels = labels
+        # Each slot's parent since ``labels`` was last brought up to date,
+        # or None when no merge is pending: a merge of q into p < q sets
+        # parent[q] = p, and ``labels`` follows the parents once, when read.
+        self._parent = None
+        self.sizes = np.bincount(labels, minlength=store.shape[0])
+        self.store = store
+        self.within_sq = within_sq
 
     @classmethod
     def from_labels(cls, angles: AngleCache, labels: np.ndarray) -> "Clustering":
@@ -86,7 +97,18 @@ class Clustering:
         """
         labels = integer_labels(labels, angles.n_points)
         values, slots = np.unique(labels, return_inverse=True)
-        return cls(slots, angles.grouped_sums(slots, values.size))
+        return cls(slots, *angles.grouped_sums(slots, values.size))
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Each point's slot: one O(N) pass after any number of merges."""
+        if self._parent is not None:
+            root = self._parent
+            for slot in range(len(root)):  # a parent is a smaller slot
+                root[slot] = root[root[slot]]
+            self._labels = np.array(root)[self._labels]
+            self._parent = None
+        return self._labels
 
     @property
     def k(self) -> int:
@@ -97,19 +119,33 @@ class Clustering:
         """The non-empty slots, ascending."""
         return np.flatnonzero(self.sizes)
 
-    def copy(self) -> "Clustering":
-        return Clustering(self.labels.copy(), self.pairs.copy())
+    @property
+    def sums(self) -> np.ndarray:
+        """The symmetric P x P matrix of angle sums, a copy."""
+        return _unpacked(self.store, self.within_sq)[0]
 
-    def merge(self, a: int, b: int) -> int:
+    @property
+    def sumsqs(self) -> np.ndarray:
+        """The symmetric P x P matrix of sums of squared angles, a copy."""
+        return _unpacked(self.store, self.within_sq)[1]
+
+    def copy(self) -> "Clustering":
+        return Clustering(self.labels.copy(), self.store.copy(), self.within_sq.copy())
+
+    def merge(self, a: int, b: int, out: np.ndarray | None = None) -> int:
         """Merge clusters a and b by additive statistic combination.
 
         Slot q = max(a, b) is folded into slot p = min(a, b) in place and
-        left dead: its row, its column and entry (p, q) go stale. Row q is
-        added into row p and row p copied onto column p, each
-        (sum, sum of squares) pair moved as one complex number, so the
-        column is one strided pass. No other slot moves. Returns p. Raises
-        DegenerateInputError for a slot outside 0..P-1, the same slot
-        twice or an empty slot, and then changes nothing.
+        left dead: its row and column of the store go stale. Slot q's sums
+        and squares are added into p's, which are row p and column p of
+        the store, each split at p and q: one pass over rows p and q and
+        one strided pass over columns p and q. No other slot moves, and no
+        point is relabelled until ``labels`` is read, so a merge is O(P).
+        ``out``, a 2 x P array if given, receives the merged slot's sums
+        (out[0]) and sums of squares (out[1]) against every slot, its
+        within pair at index p. Returns p. Raises DegenerateInputError for
+        a slot outside 0..P-1, the same slot twice or an empty slot, and
+        then changes nothing.
         """
         n_slots = self.sizes.shape[0]
         if not (0 <= a < n_slots and 0 <= b < n_slots):
@@ -118,13 +154,34 @@ class Clustering:
         if a == b or self.sizes[a] == 0 or self.sizes[b] == 0:
             raise DegenerateInputError(f"cannot merge slot {a} with slot {b}: same or empty slot")
         p, q = (a, b) if a < b else (b, a)
-        s = self.pairs
-        within = s[p, p] + (s[q, q] + s[p, q])
-        s[p] += s[q]
-        s[p, p] = within
-        s[:, p] = s[p]
+        if out is None:
+            out = np.empty((2, n_slots))
+        s, w, cols = self.store, self.within_sq, self.store.T
+        row_p, row_q, col_p, col_q = s[p], s[q], cols[p], cols[q]
+        within = s.item(p, p) + (s.item(q, q) + s.item(p, q))
+        within_sq = w.item(p) + (w.item(q) + s.item(q, p))
+        # Row p holds p's squares left of the diagonal and its sums on and
+        # right of it, column p the other way round; likewise for q. So
+        # adding row q to row p and column q to column p adds like to like
+        # except between p and q, where row p meets column q and column p
+        # row q. Entries p and q are then set or left stale.
+        row, col = out[0], out[1]
+        np.add(col_p, col_q, col)
+        np.add(row_p, row_q, row)
+        between = slice(p + 1, q)
+        np.add(row_p[between], col_q[between], row[between])
+        np.add(col_p[between], row_q[between], col[between])
+        row[p] = col[p] = within
+        row_p[:] = row
+        col_p[:] = col
+        w[p] = within_sq
+        # Swapped left of p, the rows read as p's sums and squares.
+        out[:, :p] = out[::-1, :p]
+        col[p] = within_sq
 
-        self.labels[self.labels == q] = p
+        if self._parent is None:
+            self._parent = list(range(n_slots))
+        self._parent[q] = p
         self.sizes[p] += self.sizes[q]
         self.sizes[q] = 0
         return p
@@ -141,6 +198,15 @@ class Clustering:
         block = np.ix_(live, live)
         return max(float(np.max(np.abs(s[block] - r) / np.maximum(np.abs(r), 1.0)))
                    for s, r in ((self.sums, fresh.sums), (self.sumsqs, fresh.sumsqs)))
+
+
+def _unpacked(store, within_sq):
+    """The symmetric sums and sums-of-squares matrices that ``store`` and
+    ``within_sq`` pack, as two new P x P arrays."""
+    on_or_above = np.tri(len(store), dtype=bool).T
+    sums, sumsqs = np.where(on_or_above, store, store.T), np.where(on_or_above, store.T, store)
+    np.fill_diagonal(sumsqs, within_sq)
+    return sums, sumsqs
 
 
 def distance_matrix(clustering: Clustering) -> np.ndarray:
@@ -172,18 +238,29 @@ def _merge_state(clustering: Clustering):
     # as 3 points: its stale, finite sums then give finite entries, as the
     # diagonal's within sums read as between sums do, until set to inf.
     weights = np.maximum(clustering.sizes, 3).astype(np.float64)
-    sums, sumsqs = clustering.sums, clustering.sumsqs
+    store, within_sq = clustering.store, clustering.within_sq
     n_slots = weights.size
     within = np.empty((2, 2, n_slots))
-    within[:, 1] = moments(np.diagonal(sums), np.diagonal(sumsqs),
-                           weights * (weights - 1.0) / 2.0)
+    moments(np.diagonal(store), within_sq, weights * (weights - 1.0) / 2.0, out=within[:, 1])
     mean_w, var_w = within[:, 1]
     d = np.empty((n_slots, n_slots))
     step = max(1, _DISTANCE_BLOCK // n_slots)
     for start in range(0, n_slots, step):
-        r = slice(start, start + step)
-        mean_b, var_b = moments(sums[r], sumsqs[r], weights[r, None] * weights)
-        d[r] = bhattacharyya(mean_w[r, None], var_w[r, None], mean_b, var_b)
+        stop = min(start + step, n_slots)
+        r, cut = slice(start, stop), stop - start
+        # For a slot k of the block and l >= k, row k of the store holds
+        # the k-l sums and column k their squares: the between moments of
+        # every pair from the block rightwards, stale left of its diagonal.
+        squares = np.ascontiguousarray(store[start:, r].T)
+        mean_b, var_b = moments(store[r, start:], squares, weights[r, None] * weights[start:])
+        # d[k, l] and d[l, k] judge the same moments against k's and l's
+        # within moments.
+        d[r, start:] = bhattacharyya(mean_w[r, None], var_w[r, None], mean_b, var_b)
+        mirror = bhattacharyya(mean_w[start:], var_w[start:], mean_b, var_b).T
+        d[stop:, r] = mirror[cut:]
+        square = d[r, r]
+        below = np.tri(cut, k=-1, dtype=bool)
+        square[below] = mirror[:cut][below]
     empty = clustering.sizes == 0
     d[empty, :] = d[:, empty] = np.inf
     np.fill_diagonal(d, np.inf)
@@ -191,31 +268,46 @@ def _merge_state(clustering: Clustering):
     return d, weights, within, floor
 
 
-def _refresh_distance(d: np.ndarray, clustering: Clustering, weights: np.ndarray,
+class _Workspace:
+    """The O(P) buffers one ``run_merging`` call writes every merge into:
+    the merged slot's statistics rows (``Clustering.merge``'s ``out``), its
+    counts and moments, and the fresh distances and their scratch."""
+
+    def __init__(self, n_slots: int):
+        self.rows = np.empty((2, n_slots))
+        self.count = np.empty(n_slots)
+        self.moments = np.empty((2, n_slots))
+        self.fresh = np.empty((2, n_slots))
+        self.scratch = np.empty((2, 2, n_slots))
+
+
+def _refresh_distance(d: np.ndarray, work: _Workspace, size: int, weights: np.ndarray,
                       within: np.ndarray, floor: np.ndarray, kept: int) -> np.ndarray:
     """Recompute row and column ``kept`` of d after a merge into slot
-    ``kept``, and the slot's entries of ``weights`` and ``within``; returns
+    ``kept``, now of ``size`` points, whose statistics rows ``work.rows``
+    holds, and the slot's entries of ``weights`` and ``within``; returns
     the fresh column. ``floor`` marks the empty slots, the one just emptied
     included.
 
-    One ``moments`` call over statistics row ``kept`` gives the between
-    moments against every slot and, at index ``kept`` (count C(n, 2)), the
-    slot's own within moments. The statistics are symmetric, so one
-    ``bhattacharyya`` call over a 2 x P stack gives both directions: slot
-    ``kept``'s within moments against every row entry, and every slot's
-    against it. Empty slots and the diagonal read +inf, and the row and the
-    column are each written once, whole. Rows and columns of empty slots
-    are left stale: a rescan masks them (``_update_minima``).
+    One ``moments`` call over those rows gives the between moments against
+    every slot and, at index ``kept`` (count C(n, 2)), the slot's own
+    within moments. The statistics are symmetric, so one ``bhattacharyya``
+    call over a 2 x P stack gives both directions: slot ``kept``'s within
+    moments against every row entry, and every slot's against it. Each
+    writes into ``work``. Empty slots and the diagonal read +inf, and the
+    row and the column are each written once, whole. Rows and columns of
+    empty slots are left stale: a rescan masks them (``_update_minima``).
     """
-    n = int(clustering.sizes[kept])
-    weights[kept] = n
-    count = weights[kept] * weights
-    count[kept] = n * (n - 1.0) / 2.0
-    mean, var = moments(clustering.sums[kept], clustering.sumsqs[kept], count)
-    mean_w, var_w = within
+    weights[kept] = size
+    count = np.multiply(weights, weights[kept], out=work.count)
+    count[kept] = size * (size - 1.0) / 2.0
+    rows = work.rows
+    mean, var = moments(rows[0], rows[1], count, out=work.moments)
+    mean_w, var_w = within[0], within[1]
     mean_w[:, kept], var_w[:, kept] = mean[kept], var[kept]
     mean_w[0], var_w[0] = mean[kept], var[kept]
-    fresh = np.fmax(bhattacharyya(mean_w, var_w, mean, var), floor)
+    fresh = bhattacharyya(mean_w, var_w, mean, var, out=work.fresh, scratch=work.scratch)
+    np.fmax(fresh, floor, out=fresh)
     fresh[:, kept] = np.inf
     d[kept] = fresh[0]
     d[:, kept] = fresh[1]
@@ -248,7 +340,7 @@ def compute_scores(clustering: Clustering) -> ScoreSet:
 
 def _row_minima(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's minimum and the first column attaining it."""
-    partners = np.argmin(rows, axis=1)
+    partners = rows.argmin(axis=1)
     return rows[np.arange(rows.shape[0]), partners], partners
 
 
@@ -273,7 +365,7 @@ def _update_minima(d: np.ndarray, eta: np.ndarray, partners: np.ndarray, column:
     take = (column < eta) | ((column == eta) & (kept < partners))
     np.copyto(eta, column, where=take)
     np.copyto(partners, kept, where=take)
-    rows = np.flatnonzero(rescan)
+    rows = rescan.nonzero()[0]
     eta[rows], partners[rows] = _row_minima(np.fmax(d.take(rows, axis=0), floor))
 
 
@@ -291,7 +383,7 @@ def threshold(t: int) -> float:
     """
     if t < 2:
         return np.inf
-    return 1.0 / np.sqrt(t - 1.0)
+    return 1.0 / math.sqrt(t - 1.0)
 
 
 @dataclass
@@ -350,12 +442,15 @@ def run_merging(clustering: Clustering) -> MergeRun:
     Records number the K live slots 0..K-1 in slot order, as labels_at does.
 
     The loop keeps one state: the distance matrix d, each slot's cached
-    row minimum eta and partner, each slot's within moments and size, and
-    the sorted list of dead slots, from which a record's ranks are counted.
-    A merge refreshes row and column p of d with one ``bhattacharyya``
-    call (``_refresh_distance``), updates the minima from that fresh
-    column without reading d's, and rescans only the rows
-    ``_update_minima`` names. Dead slots' rows and columns of d go stale,
+    row minimum eta and partner, each slot's within moments and size, the
+    sorted list of dead slots, from which a record's ranks are counted,
+    and one ``_Workspace`` of O(P) buffers. A merge (``Clustering.merge``)
+    leaves the merged slot's statistics in the workspace, refreshes row
+    and column p of d from them with one ``bhattacharyya`` call
+    (``_refresh_distance``), updates the minima from that fresh column
+    without reading d's, and rescans only the rows ``_update_minima``
+    names. No point is relabelled inside the loop: the clustering's
+    labels follow its merges once, when read. Dead slots' rows and columns of d go stale,
     as their statistics do. gamma and the pair equal ``compute_scores`` on
     a fresh distance matrix at every K, bitwise, and the loop costs O(P^2)
     overall when few rows lose their partner per merge, O(P^3) at worst.
@@ -364,13 +459,14 @@ def run_merging(clustering: Clustering) -> MergeRun:
     if clustering.k < 2:
         return MergeRun(steps=[], initial_labels=initial_labels)
     d, weights, within, floor = _merge_state(clustering)
+    work = _Workspace(weights.size)
     eta, partners = _row_minima(d)
     sizes = clustering.sizes.tolist()
     dead_slots = np.flatnonzero(clustering.sizes == 0).tolist()  # ascending
     partners[dead_slots] = -1
     steps: list[MergeStep] = []
     for k in range(clustering.k, 1, -1):
-        i_star = int(np.argmin(eta))
+        i_star = int(eta.argmin())
         j_star = int(partners[i_star])
         t_k = t_pair(sizes[i_star], sizes[j_star])
         pair = (i_star - bisect_left(dead_slots, i_star), j_star - bisect_left(dead_slots, j_star))
@@ -378,13 +474,13 @@ def run_merging(clustering: Clustering) -> MergeRun:
             MergeStep(k=k, gamma=float(eta[i_star]), zeta=threshold(t_k), t=t_k, pair=pair)
         )
         if k > 2:
-            kept = clustering.merge(i_star, j_star)
+            kept = clustering.merge(i_star, j_star, out=work.rows)
             emptied = i_star + j_star - kept
             sizes[kept] += sizes[emptied]
             sizes[emptied] = 0
             insort(dead_slots, emptied)
             floor[emptied] = np.inf
-            column = _refresh_distance(d, clustering, weights, within, floor, kept)
+            column = _refresh_distance(d, work, sizes[kept], weights, within, floor, kept)
             _update_minima(d, eta, partners, column, floor, kept, emptied)
     return MergeRun(steps=steps, initial_labels=initial_labels)
 

@@ -9,7 +9,8 @@ O(N^2 * n) each: ``two_nearest`` over full rows of inner products, with
 no arccos, and ``grouped_sums`` over the upper triangle of the angles,
 with arccos of N^2 / 2 entries. Besides the points, ``two_nearest`` holds
 O(_BLOCK * N) products at a time, and ``grouped_sums`` one tile of
-O(_BLOCK * _TILE_ROWS) angles beside its P x P store for P groups.
+O(_BLOCK * _TILE_ROWS) angles beside the one P x P float64 store it
+returns for P groups, which packs both statistics.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ _BLOCK = 256
 # a time, unless the block's rows fit in one tile; a tile holds fewer than
 # twice as many, plus the rest of a group that straddles its end.
 _TILE_ROWS = 2 * _BLOCK
+# Rows of a labeled dataset that ``save_points_csv`` joins to their labels
+# and writes at a time.
+_CSV_ROWS = 1024
 
 
 @dataclass
@@ -206,13 +210,13 @@ class AngleCache:
     def grouped_sums(self, assignment: np.ndarray, n_groups: int):
         """Angle sums and squared sums aggregated over a partition.
 
-        Returns one symmetric n_groups x n_groups complex128 store: the
-        real part of entry (k, l) sums every cross angle between groups k
-        and l once, the imaginary part their squares; diagonal entry (k, k)
-        sums every within-group angle of k once in the same way. Each
-        (sum, sum of squares) pair is thus one complex number, and complex
-        addition adds both halves: the store a ``Clustering`` holds as it
-        is filled here.
+        Returns one n_groups x n_groups float64 store and one n_groups
+        vector ``within_sq``. For groups k < l, store[k, l] sums every
+        cross angle between k and l once and store[l, k] their squares;
+        store[k, k] sums every within-group angle of k once, and
+        within_sq[k] their squares. This is the packed store a
+        ``Clustering`` holds as it is filled here: one P x P array for both
+        statistics, no mirror of either.
 
         The points are taken in the order of a stable sort by group, so a
         block of rows I holds one contiguous range of groups g0..g1, and a
@@ -223,17 +227,18 @@ class AngleCache:
         diagonal and everything left of it zeroed, since arccos(x . x)
         need not be exactly 0) are summed through a sparse one-hot matrix,
         onehot[g0:g1, I] @ theta[I, J] @ onehot[h0:h1, J].T, into rows
-        g0..g1 and columns h0..h1 of an upper-triangular P x P matrix U.
+        g0..g1 and columns h0..h1 of the store, and their squares into the
+        transposed place, rows h0..h1 and columns g0..g1. Since j > i, a
+        tile's sum for groups (g, h) with g > h is exactly 0, so each half
+        adds +0.0 to the other's entries, which leaves them as they are;
+        the squares of groups on both sides of a tile go to ``within_sq``.
         A tile is cut only at a group's first row (``_tile_stop``), so a
         group's angles to a block are summed whole, in the order of the
-        points, in one tile, and U does not depend on the tile size. The
-        pass costs O(N^2 * n) for the products, with arccos on the N^2 / 2
-        angles, and holds one tile of fewer than 2 * _TILE_ROWS x _BLOCK
-        angles, unless one group is longer than _TILE_ROWS, and a
-        (g1 - g0) x (h1 - h0) array at a time. U's strict upper triangle is
-        then copied onto its lower one in place, both halves at once, a
-        strip of _BLOCK columns at a time, so the store is the only P x P
-        array made; the two halves are bitwise symmetric.
+        points, in one tile, and the store does not depend on the tile
+        size. The pass costs O(N^2 * n) for the products, with arccos on
+        the N^2 / 2 angles, and holds one tile of fewer than
+        2 * _TILE_ROWS x _BLOCK angles, unless one group is longer than
+        _TILE_ROWS, and a (g1 - g0) x (h1 - h0) array at a time.
         """
         # Imported here, not with the module: scipy.sparse takes about 0.2 s
         # to load, which a process that never clusters (`anglemerge synth`,
@@ -251,8 +256,8 @@ class AngleCache:
         # are) need no N x n permuted copy of the points.
         points = self._points if np.array_equal(labels, assignment) else self._points[order]
         onehot = csc_matrix((np.ones(n), (labels, np.arange(n))), shape=(n_groups, n))
-        store = np.zeros((n_groups, n_groups), dtype=np.complex128)
-        upper, upper_sq = store.real, store.imag
+        store = np.zeros((n_groups, n_groups))
+        within_sq = np.zeros(n_groups)
         below = np.tri(_BLOCK, k=-1, dtype=bool)
         for start in range(0, n, _BLOCK):
             stop = min(start + _BLOCK, n)
@@ -273,19 +278,18 @@ class AngleCache:
                 # scipy copies a dense operand that is not C-ordered while that
                 # operand and the result are alive; copied here, the untransposed
                 # product is freed before the result is allocated.
-                upper[g0:g1, h0:h1] += rows @ np.ascontiguousarray((cols @ tile).T)
+                store[g0:g1, h0:h1] += rows @ np.ascontiguousarray((cols @ tile).T)
                 np.square(tile, out=tile)
-                upper_sq[g0:g1, h0:h1] += rows @ np.ascontiguousarray((cols @ tile).T)
+                squares = rows @ np.ascontiguousarray((cols @ tile).T)
+                # Groups h0..g1 - 1 lie on both sides: their within squares
+                # go to within_sq, and +0.0 to the sums on the diagonal.
+                shared = np.arange(h0, min(g1, h1))
+                within_sq[shared] += squares[shared - g0, shared - h0]
+                squares[shared - g0, shared - h0] = 0.0
+                store[h0:h1, g0:g1] += squares.T
                 del tile  # freed before the next tile's product is formed
                 tile_start = tile_stop
-        # Both halves are mirrored at once, each pair moved as one number.
-        for start in range(0, n_groups, _BLOCK):
-            stop = start + _BLOCK
-            store[stop:, start:stop] = store[start:stop, stop:].T
-            square = store[start:stop, start:stop]
-            strict = below[: len(square), : len(square)]
-            square[strict] = square.T[strict]
-        return store
+        return store, within_sq
 
 
 def _tile_stop(labels: np.ndarray, start: int) -> int:
@@ -357,10 +361,14 @@ def save_points_csv(path, data: DataSet) -> None:
     back as the same float64 for every value, so ``load_points_csv``
     returns the points and labels bit for bit. Labels share the float
     column, so one of magnitude >= 2**53 raises DegenerateInputError
-    before the file is opened.
+    before the file is opened. The label column joins the points
+    _CSV_ROWS rows at a time, so the writer holds no N x (n + 1) copy.
     """
-    out = data.points
     if data.labels is not None:
         exact_float_labels(data.labels, "the dataset")
-        out = np.column_stack((data.points, data.labels))
-    np.savetxt(path, out, delimiter=",", fmt="%.17g")
+    with open(path, "w") as handle:
+        for start in range(0, data.n_points, _CSV_ROWS):
+            rows = data.points[start : start + _CSV_ROWS]
+            if data.labels is not None:
+                rows = np.column_stack((rows, data.labels[start : start + _CSV_ROWS]))
+            np.savetxt(handle, rows, delimiter=",", fmt="%.17g")

@@ -19,30 +19,68 @@ from .errors import TooFewAnglesError
 # distance finite and very large, correctly flagging the degenerate cluster
 # as far from everything.
 VAR_FLOOR = 1e-12
+# The formulas' constants as float64 arrays: numpy takes a Python float
+# operand through a slower path on every call.
+_ONE, _HALF, _QUARTER, _FLOOR = (np.array(c) for c in (1.0, 0.5, 0.25, VAR_FLOOR))
 
 
-def moments(total, total_sq, count):
+def moments(total, total_sq, count, out=None):
     """Sample mean and variance from sufficient statistics, elementwise.
 
     Variance uses the (count - 1) divisor and is clamped below at VAR_FLOOR.
-    Every count must be >= 2; callers check that.
+    Every count must be >= 2; callers check that. The two are written into
+    ``out[0]`` and ``out[1]`` when it is given, a 2 x (broadcast shape)
+    array that shares no memory with the inputs, so that a loop can
+    evaluate the formula with no allocation.
     """
-    mean = total / count
-    var = np.maximum((total_sq - total**2 / count) / (count - 1), VAR_FLOOR)
-    return mean, var
+    given = out is not None
+    if not given:
+        out = np.empty((2, *np.broadcast_shapes(np.shape(total), np.shape(total_sq),
+                                                np.shape(count))))
+    mean, var = out[0, ...], out[1, ...]
+    # var = max((total_sq - total**2 / count) / (count - 1), VAR_FLOOR),
+    # one operation at a time; mean holds count - 1 until it is overwritten.
+    np.square(total, var)
+    np.divide(var, count, var)
+    np.subtract(total_sq, var, var)
+    np.subtract(count, _ONE, mean)
+    np.divide(var, mean, var)
+    np.maximum(var, _FLOOR, out=var)
+    np.divide(total, count, mean)
+    return (mean, var) if given else (mean[()], var[()])
 
 
-def bhattacharyya(mean_w, var_w, mean_b, var_b):
+def bhattacharyya(mean_w, var_w, mean_b, var_b, out=None, scratch=None):
     """Bhattacharyya distance between Gaussians given by moments, elementwise.
 
     d = 1/4 * [ (mu_w - mu_b)^2 / (var_w + var_b)
                 + ln( (var_w/var_b + var_b/var_w)/4 + 1/2 ) ]
 
-    Non-negative; zero exactly when the two moment pairs coincide.
+    Non-negative; zero exactly when the two moment pairs coincide. The
+    distance is written into ``out`` when it is given, of the broadcast
+    shape, and the two intermediate terms into ``scratch``, 2 x that shape;
+    neither may share memory with the inputs.
     """
-    gap = (mean_w - mean_b) ** 2 / (var_w + var_b)
-    shape = np.log(0.25 * (var_w / var_b + var_b / var_w) + 0.5)
-    return 0.25 * (gap + shape)
+    given = out is not None
+    if not given or scratch is None:
+        dims = np.broadcast_shapes(*map(np.shape, (mean_w, var_w, mean_b, var_b)))
+        out = out if given else np.empty(dims)
+        scratch = np.empty((2, *dims)) if scratch is None else scratch
+    shape, var_sum = scratch[0, ...], scratch[1, ...]
+    # The shape term, then the gap term in out, one operation at a time.
+    np.divide(var_w, var_b, shape)
+    np.divide(var_b, var_w, var_sum)
+    np.add(shape, var_sum, shape)
+    np.multiply(shape, _QUARTER, shape)
+    np.add(shape, _HALF, shape)
+    np.log(shape, shape)
+    np.add(var_w, var_b, var_sum)
+    np.subtract(mean_w, mean_b, out)
+    np.square(out, out)
+    np.divide(out, var_sum, out)
+    np.add(out, shape, out)
+    np.multiply(out, _QUARTER, out)
+    return out if given else out[()]
 
 
 def t_pair(size_i: int, size_j: int) -> int:

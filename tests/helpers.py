@@ -44,6 +44,18 @@ def ally_key(cache):
     return key
 
 
+def grouped_matrices(cache, assignment, n_groups):
+    """``cache.grouped_sums`` unpacked, without the engine's help, into the
+    symmetric sums and sums-of-squares matrices: the store holds the sums
+    on and above its diagonal and the squares transposed below it, and the
+    within squares come in a vector of their own."""
+    store, within_sq = cache.grouped_sums(assignment, n_groups)
+    sums = np.triu(store) + np.triu(store, 1).T
+    squares = np.tril(store, -1)
+    sumsqs = squares + squares.T + np.diag(within_sq)
+    return sums, sumsqs
+
+
 def traced_peak(call, *args):
     """``call(*args)`` and the most memory it held at once beyond what was
     allocated before, in bytes, as tracemalloc sees it (numpy reports its

@@ -14,6 +14,7 @@ from anglemerge.engine import (
     _refresh_distance,
     _row_minima,
     _update_minima,
+    _Workspace,
     compute_scores,
     distance_matrix,
     initial_clustering,
@@ -252,13 +253,32 @@ class TestMemoryContract:
         _, peak = traced_peak(distance_matrix, clustering)
         assert peak <= 1.5 * self.P_BY_P
 
+    def test_a_clustering_holds_one_p_by_p_array(self):
+        # The statistics are one P x P float64 store and a P-vector; the
+        # labels of the 3P points and the sizes are O(P) as well.
+        rng = np.random.default_rng(14)
+        cache = make_cache(unit_sphere_points(rng, 1800, 8))
+        labels = np.arange(1800) % 600
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            clustering = Clustering.from_labels(cache, labels)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert clustering.store.shape == (600, 600) and clustering.within_sq.shape == (600,)
+        assert held <= self.P_BY_P + 8 * 16 * 600
+
     def test_run_merging_holds_d_alone(self):
         # run_merging merges its input in place, so of the P x P arrays it
-        # adds only d; one block of d's set-up and the loop add O(P).
+        # adds only d; one block of d's set-up and the loop add O(P). With
+        # its input, one P x P store, that is 2 P x P arrays: one block
+        # adds about 0.35 of one at P=600.
         clustering = wide_clustering()
         run, peak = traced_peak(run_merging, clustering)
         assert run.initial_k == 597
         assert peak <= 1.5 * self.P_BY_P
+        assert clustering.store.nbytes + clustering.within_sq.nbytes + peak <= 2.5 * self.P_BY_P
 
 
 class TestMergeStep:
@@ -291,9 +311,9 @@ class TestMergeStep:
     def test_merge_moves_no_other_slot(self):
         clustering = self.six_slots()
         before = clustering.copy()
-        sums = clustering.sums
+        store = clustering.store
         assert clustering.merge(4, 1) == 1
-        assert clustering.sums is sums
+        assert clustering.store is store
         others = [0, 2, 3, 5]
         block = np.ix_(others, others)
         relabelled = np.where(before.labels == 4, 1, before.labels)
@@ -326,7 +346,7 @@ class TestMergeStep:
         before = clustering.copy()
         with pytest.raises(DegenerateInputError, match="slots are 0..5"):
             merge(clustering, pair)
-        for name in ("labels", "sizes", "pairs"):
+        for name in ("labels", "sizes", "store", "within_sq"):
             assert getattr(clustering, name).tobytes() == getattr(before, name).tobytes()
 
     def test_counts_stay_consistent_through_merges(self):
@@ -347,13 +367,17 @@ class TestMergeStep:
         assert clustering.consistency_error(cache) < 1e-12
         assert cache.reads == reads + 1
 
-    # A within statistic (w_) is a diagonal entry, a between one (b_) is not.
+    # A within statistic (w_) is a diagonal entry, a between one (b_) is
+    # not. The store holds the sums on and above its diagonal, the squares
+    # below it, and the within squares in within_sq.
     @pytest.mark.parametrize("statistic, entry", [("w_sum", (2, 2)), ("w_sumsq", (0, 0)),
                                                   ("b_sum", (1, 3)), ("b_sumsq", (5, 0))])
     def test_consistency_oracle_catches_a_perturbed_sum(self, statistic, entry):
         clustering, cache = self.six_slots(), self.six_slots_cache()
-        matrix = clustering.sumsqs if statistic.endswith("sq") else clustering.sums
-        matrix[entry] *= 1.0 + 1e-6
+        if statistic == "w_sumsq":
+            clustering.within_sq[entry[0]] *= 1.0 + 1e-6
+        else:
+            clustering.store[entry] *= 1.0 + 1e-6
         assert clustering.consistency_error(cache) > 1e-9
 
     def test_consistency_oracle_catches_a_moved_point(self):
@@ -528,11 +552,12 @@ class TestRunMerging:
         data = generator(SubspaceSpec(n=60, r=6, L=5, N=240, seed=seed))
         work = initial_clustering(compute_angles(normalize_rows(data)), seed=seed)
         d, weights, within, floor = _merge_state(work)
+        workspace = _Workspace(weights.size)
         while work.k > 2:
             i_star, j_star = compute_scores(work).pair
-            kept = work.merge(i_star, j_star)
+            kept = work.merge(i_star, j_star, out=workspace.rows)
             floor[max(i_star, j_star)] = np.inf
-            _refresh_distance(d, work, weights, within, floor, kept)
+            _refresh_distance(d, workspace, int(work.sizes[kept]), weights, within, floor, kept)
             live = np.ix_(work.live, work.live)
             assert np.array_equal(d[live], distance_matrix(work)[live])
 
@@ -685,15 +710,15 @@ class TestNoCacheReadsDuringMerge:
 
 
 def merge_then_poison(monkeypatch):
-    """Make every merge set the emptied slot's row, column and diagonal of
-    both statistics matrices to NaN, so that any later read of them shows."""
+    """Make every merge set the emptied slot's row and column of the store,
+    and its within sum of squares, to NaN, so that any later read of them
+    shows."""
     merge = Clustering.merge
 
-    def poisoned(self, a, b):
-        kept = merge(self, a, b)
+    def poisoned(self, a, b, out=None):
+        kept = merge(self, a, b, out)
         emptied = max(a, b)
-        for matrix in (self.sums, self.sumsqs):
-            matrix[emptied, :] = matrix[:, emptied] = np.nan
+        self.store[emptied, :] = self.store[:, emptied] = self.within_sq[emptied] = np.nan
         return kept
 
     monkeypatch.setattr(Clustering, "merge", poisoned)

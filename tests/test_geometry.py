@@ -13,7 +13,7 @@ from anglemerge.geometry import (
     normalize_rows,
     save_points_csv,
 )
-from helpers import ally_key, angle_oracle, traced_peak, unit_sphere_points
+from helpers import ally_key, angle_oracle, grouped_matrices, traced_peak, unit_sphere_points
 
 
 class TestDataSet:
@@ -177,7 +177,7 @@ class TestAngleCacheAccess:
         assert [a.shape for a in arrays] == [(n_points, dim)]
         # With one group per point the grouped sums are theta itself, with
         # an exact zero where a point meets itself.
-        store = cache.grouped_sums(np.arange(n_points), n_points).real
+        store = grouped_matrices(cache, np.arange(n_points), n_points)[0]
         expected = angle_oracle(points)
         np.fill_diagonal(expected, 0.0)
         np.testing.assert_allclose(store, expected, rtol=0, atol=1e-12)
@@ -220,8 +220,7 @@ class TestAngleCacheAccess:
         full = angle_oracle(points)
         assignment = rng.integers(0, 4, size=n_points)
         assignment[:4] = np.arange(4)  # every group non-empty
-        store = cache.grouped_sums(assignment, 4)
-        sums, sumsqs = store.real, store.imag
+        sums, sumsqs = grouped_matrices(cache, assignment, 4)
         expect_sum = np.zeros((4, 4))
         expect_sq = np.zeros((4, 4))
         for i in range(n_points):
@@ -256,7 +255,7 @@ class TestAngleCacheAccess:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(geometry, "_TILE_ROWS", len(labels))
             whole = cache.grouped_sums(labels, n_groups)
-        assert tiled.tobytes() == whole.tobytes()
+        assert [a.tobytes() for a in tiled] == [a.tobytes() for a in whole]
 
     def test_grouped_sums_are_bitwise_symmetric(self):
         # The initial distance matrix reads the k-l cross set from both
@@ -269,15 +268,14 @@ class TestAngleCacheAccess:
 
     @pytest.mark.parametrize("n_groups", [1, 300])
     def test_grouped_sums_are_symmetric_and_match_the_value_sets(self, n_groups):
-        # 300 groups span two _BLOCK-wide strips of the in-place mirror, the
-        # second one partial; 1 group is a 1 x 1 result.
+        # 300 groups span two blocks of rows, the second one partial; 1
+        # group is a 1 x 1 result.
         rng = np.random.default_rng(17)
         n_points = 1000
         cache = compute_angles(DataSet(points=unit_sphere_points(rng, n_points, 6)))
         labels = rng.integers(0, n_groups, size=n_points)
         labels[:n_groups] = np.arange(n_groups)
-        store = cache.grouped_sums(labels, n_groups)
-        sums, sumsqs = store.real, store.imag
+        sums, sumsqs = grouped_matrices(cache, labels, n_groups)
         for matrix in (sums, sumsqs):
             assert matrix.shape == (n_groups, n_groups)
             assert np.array_equal(matrix, matrix.T)
@@ -303,19 +301,19 @@ class TestAngleCacheAccess:
 
     @pytest.mark.parametrize("n_points", [600, 3600])
     def test_grouped_sums_hold_their_results_and_one_block(self, n_points):
-        # P=600 groups. Besides the two P x P results, the pass holds one
+        # P=600 groups. Besides the one P x P result, the pass holds one
         # tile of a block's angles, fewer than 2 * _TILE_ROWS rows of
         # _BLOCK, and, for its sparse products, two _BLOCK x P arrays; one
         # more such array is slack for the one-hot slices and index arrays.
-        # With 1 point per group, two more P x P arrays would break the
+        # With 1 point per group, one more P x P array would break the
         # limit; with 6, a block's angles against all N - start later rows
-        # would (16.1 MB at N=3600, against a limit of 11.5 MB).
+        # would (16.1 MB at N=3600, against a limit of 8.7 MB).
         n_groups, block = 600, geometry._BLOCK
         rng = np.random.default_rng(16)
         cache = compute_angles(DataSet(points=unit_sphere_points(rng, n_points, 8)))
         labels = rng.permutation(np.arange(n_points) % n_groups)
         _, peak = traced_peak(cache.grouped_sums, labels, n_groups)
-        assert peak <= 8 * (2 * n_groups**2 + block * (2 * geometry._TILE_ROWS + 3 * n_groups))
+        assert peak <= 8 * (n_groups**2 + block * (2 * geometry._TILE_ROWS + 3 * n_groups))
 
     def test_read_counter_increments(self):
         rng = np.random.default_rng(8)
@@ -383,6 +381,25 @@ class TestCsv:
     def test_every_finite_double_round_trips_bit_for_bit(self, tmp_path, data):
         # One file name, rewritten by each example.
         self.assert_bitwise_round_trip(tmp_path / "points.csv", data)
+
+    def test_chunks_write_the_one_shot_bytes(self, tmp_path):
+        # 2500 rows are three chunks, the last one partial.
+        rng = np.random.default_rng(20)
+        data = DataSet(points=rng.standard_normal((2500, 3)), labels=rng.integers(-9, 9, 2500))
+        save_points_csv(tmp_path / "chunked.csv", data)
+        np.savetxt(tmp_path / "whole.csv", np.column_stack((data.points, data.labels)),
+                   delimiter=",", fmt="%.17g")
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    def test_a_labeled_save_holds_no_copy_of_the_points(self, tmp_path):
+        # One N x (n + 1) copy for the label column would be 1.2 N x n
+        # here; a chunk of _CSV_ROWS rows is 0.06.
+        n_points, dim = 20000, 5
+        rng = np.random.default_rng(21)
+        data = DataSet(points=rng.standard_normal((n_points, dim)),
+                       labels=rng.integers(0, 9, n_points))
+        _, peak = traced_peak(save_points_csv, tmp_path / "points.csv", data)
+        assert peak < 0.25 * 8 * n_points * dim
 
     @pytest.mark.parametrize("labels", [[0, 2**53 + 1, 2**53, 5], [0, -(2**53), 1, 5],
                                         [0, -(2**63), 1, 5]],

@@ -24,7 +24,7 @@ from anglemerge.errors import AngleMergeError
 from anglemerge.geometry import AngleCache, DataSet, compute_angles, normalize_rows
 from anglemerge.metrics import clustering_error, nmi
 from anglemerge.pipeline import cluster_dataset
-from helpers import ally_key, angle_oracle, unit_sphere_points
+from helpers import ally_key, angle_oracle, grouped_matrices, unit_sphere_points
 
 SMALL = settings(max_examples=60, deadline=None)
 
@@ -111,8 +111,7 @@ def test_grouped_sums_match_double_loop(seed, n_points, n_groups):
     points = rng.standard_normal((n_points, 4))
     assignment = rng.integers(0, n_groups, size=n_points)
     unit = normalize_rows(DataSet(points=points)).points
-    store = compute_angles(DataSet(points=unit)).grouped_sums(assignment, n_groups)
-    sums, sumsqs = store.real, store.imag
+    sums, sumsqs = grouped_matrices(compute_angles(DataSet(points=unit)), assignment, n_groups)
 
     full = angle_oracle(unit)
     expect_sum = np.zeros((n_groups, n_groups))
@@ -137,8 +136,7 @@ def test_grouped_sums_match_the_oracle_across_row_blocks(seed, n_points, n_group
     rng = np.random.default_rng(seed)
     unit = unit_sphere_points(rng, n_points, 5)
     assignment = rng.integers(0, n_groups, size=n_points)
-    store = compute_angles(DataSet(points=unit)).grouped_sums(assignment, n_groups)
-    sums, sumsqs = store.real, store.imag
+    sums, sumsqs = grouped_matrices(compute_angles(DataSet(points=unit)), assignment, n_groups)
 
     i, j = np.triu_indices(n_points, k=1)
     a, b = assignment[i], assignment[j]
@@ -168,10 +166,10 @@ def test_grouped_sums_do_not_depend_on_the_tile_rows(seed, sizes, big, data):
     cache = AngleCache(points)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geometry, "_TILE_ROWS", len(points))
-        whole = cache.grouped_sums(assignment, len(sizes)).tobytes()
+        whole = [a.tobytes() for a in cache.grouped_sums(assignment, len(sizes))]
         for rows in (1, 7, 64):
             patch.setattr(geometry, "_TILE_ROWS", rows)
-            assert cache.grouped_sums(assignment, len(sizes)).tobytes() == whole
+            assert [a.tobytes() for a in cache.grouped_sums(assignment, len(sizes))] == whole
 
 
 @SMALL
@@ -205,10 +203,10 @@ def test_grouped_sums_do_not_depend_on_point_order(seed, n_points, n_groups, kin
     elif kind == "empty groups":
         assignment, n_groups = 2 * assignment, 2 * n_groups + 3
     perm = rng.permutation(n_points)
-    store = compute_angles(DataSet(points=unit)).grouped_sums(assignment, n_groups)
-    moved = compute_angles(DataSet(points=unit[perm])).grouped_sums(assignment[perm], n_groups)
+    store = grouped_matrices(compute_angles(DataSet(points=unit)), assignment, n_groups)
+    moved = grouped_matrices(compute_angles(DataSet(points=unit[perm])), assignment[perm], n_groups)
     empty = np.setdiff1d(np.arange(n_groups), assignment)
-    for got, again in ((store.real, moved.real), (store.imag, moved.imag)):
+    for got, again in zip(store, moved):
         np.testing.assert_allclose(again, got, rtol=1e-12, atol=1e-12)
         assert np.array_equal(got, got.T) and np.array_equal(again, again.T)
         assert not got[empty].any() and not again[empty].any()
@@ -283,8 +281,20 @@ def tied_clusterings(draw):
     return group_clustering(groups)
 
 
+@st.composite
+def partly_merged_clusterings(draw):
+    """A small clustering with a few random slot pairs merged first, so
+    that some of its slots are dead when the merge loop starts."""
+    clustering, _, rng = draw(small_clusterings())
+    for _ in range(draw(st.integers(1, max(1, clustering.k - 2)))):
+        a, b = rng.choice(clustering.live, size=2, replace=False)
+        clustering.merge(int(a), int(b))
+    return clustering
+
+
 @SMALL
-@given(st.one_of(tied_clusterings(), small_clusterings().map(lambda case: case[0])))
+@given(st.one_of(tied_clusterings(), small_clusterings().map(lambda case: case[0]),
+                 partly_merged_clusterings()))
 def test_cached_scores_equal_one_shot_scores_at_every_k(clustering):
     # Replay the run's pairs with merge_step, and check each step against a
     # full compute_scores scan of a fresh distance matrix: gamma bit for
