@@ -111,7 +111,7 @@ def epsilon_t(t: int) -> float:
     if t < 2:
         raise DomainError(f"need t >= 2, got t={t}")
     tm1 = float(t - 1)
-    c = 4.0 * (math.exp(2.0 / math.sqrt(tm1)) - 0.5)
+    c = _c(t)
     disc = math.sqrt(c * c - 4.0)
     half = tm1 / 2.0
     eps = (
@@ -121,6 +121,11 @@ def epsilon_t(t: int) -> float:
         + beta_prime_cdf((c - disc) / 2.0, half, half)
     )
     return min(max(eps, 0.0), 1.0)
+
+
+def _c(t: int) -> float:
+    """The constant 4 (e^{2/sqrt(t-1)} - 1/2) of epsilon_t's bound."""
+    return 4.0 * (math.exp(2.0 / math.sqrt(float(t - 1))) - 0.5)
 
 
 def alpha_t(t: int) -> float:
@@ -137,10 +142,8 @@ def delta_t(t: int, params: SeparationParams) -> float:
     between clusters from different populations falls below 1/sqrt(t-1)
     with probability at most delta_t.
     """
-    if t < 2:
-        raise DomainError(f"need t >= 2, got t={t}")
-    tm1 = float(t - 1)
     alpha = alpha_t(t)
+    tm1 = float(t - 1)
     band = chi2_cdf(tm1 * alpha, tm1) - chi2_cdf(tm1 * (2.0 - alpha), tm1)
     m = params.mean_sep
     mean_term = 1.0 - noncentral_chi2_cdf(t * math.log1p(m) * alpha, 1.0, t * m * m)
@@ -217,5 +220,5 @@ def bound_report(t: int, params: SeparationParams) -> BoundReport:
         t_min_sufficient=tmin_value,
         psi=psi(params),
         alpha_t=alpha_t(t),
-        c=4.0 * (math.exp(2.0 / math.sqrt(t - 1.0)) - 0.5),
+        c=_c(t),
     )

@@ -69,12 +69,11 @@ class Clustering:
     float64 ``store`` and the P-vector ``within_sq`` that ``grouped_sums``
     returns. For k < l, store[k, l] sums the k-l cross angles and
     store[l, k] their squares; store[k, k] sums slot k's within angles and
-    within_sq[k] their squares. ``sums`` and ``sumsqs`` read them as two
-    symmetric P x P matrices, for oracles and tests.
-    Counts are implied: C(size_k, 2) within, size_k * size_l between. A
-    merge empties one slot and moves no other slot. A slot is dead when
-    its size is 0; its statistics are then stale and never read. ``k``
-    counts the live slots, ``live`` lists them.
+    within_sq[k] their squares; they are the clustering's only copy of its
+    statistics. Counts are implied: C(size_k, 2) within, size_k * size_l
+    between. A merge empties one slot and moves no other slot. A slot is
+    dead when its size is 0; its statistics are then stale and never read.
+    ``k`` counts the live slots, ``live`` lists them.
     """
 
     def __init__(self, labels, store, within_sq):
@@ -118,16 +117,6 @@ class Clustering:
     def live(self) -> np.ndarray:
         """The non-empty slots, ascending."""
         return np.flatnonzero(self.sizes)
-
-    @property
-    def sums(self) -> np.ndarray:
-        """The symmetric P x P matrix of angle sums, a copy."""
-        return _unpacked(self.store, self.within_sq)[0]
-
-    @property
-    def sumsqs(self) -> np.ndarray:
-        """The symmetric P x P matrix of sums of squared angles, a copy."""
-        return _unpacked(self.store, self.within_sq)[1]
 
     def copy(self) -> "Clustering":
         return Clustering(self.labels.copy(), self.store.copy(), self.within_sq.copy())
@@ -190,23 +179,17 @@ class Clustering:
         """Worst relative mismatch |stored - fresh| / max(|fresh|, 1) between
         the live slots' statistics and a from-scratch ``from_labels`` rebuild
         of ``labels``: one read of the angle cache. +inf when ``labels`` and
-        ``sizes`` do not describe the same partition. Used by oracle tests."""
+        ``sizes`` do not describe the same partition. The rebuild numbers the
+        live slots 0..K-1 in slot order, so its store lines up entry for
+        entry with the live block of this one. Used by oracle tests."""
         live = self.live
         fresh = Clustering.from_labels(angles, self.labels)
         if not np.array_equal(fresh.sizes, self.sizes[live]):
             return np.inf
-        block = np.ix_(live, live)
-        return max(float(np.max(np.abs(s[block] - r) / np.maximum(np.abs(r), 1.0)))
-                   for s, r in ((self.sums, fresh.sums), (self.sumsqs, fresh.sumsqs)))
-
-
-def _unpacked(store, within_sq):
-    """The symmetric sums and sums-of-squares matrices that ``store`` and
-    ``within_sq`` pack, as two new P x P arrays."""
-    on_or_above = np.tri(len(store), dtype=bool).T
-    sums, sumsqs = np.where(on_or_above, store, store.T), np.where(on_or_above, store.T, store)
-    np.fill_diagonal(sumsqs, within_sq)
-    return sums, sumsqs
+        # One np.max over both, as Python's max would drop a NaN it met second.
+        return float(np.max([np.max(np.abs(s - r) / np.maximum(np.abs(r), 1.0))
+                             for s, r in ((self.store[np.ix_(live, live)], fresh.store),
+                                          (self.within_sq[live], fresh.within_sq))]))
 
 
 def distance_matrix(clustering: Clustering) -> np.ndarray:
@@ -441,10 +424,11 @@ def run_merging(clustering: Clustering) -> MergeRun:
     place down to K = 2; a one-cluster input gives an empty trace.
     Records number the K live slots 0..K-1 in slot order, as labels_at does.
 
-    The loop keeps one state: the distance matrix d, each slot's cached
-    row minimum eta and partner, each slot's within moments and size, the
-    sorted list of dead slots, from which a record's ranks are counted,
-    and one ``_Workspace`` of O(P) buffers. A merge (``Clustering.merge``)
+    The loop keeps one state beside the clustering, whose ``sizes`` it
+    reads: the distance matrix d, each slot's cached row minimum eta and
+    partner, each slot's within moments and float count, the sorted list
+    of dead slots, from which a record's ranks are counted, and one
+    ``_Workspace`` of O(P) buffers. A merge (``Clustering.merge``)
     leaves the merged slot's statistics in the workspace, refreshes row
     and column p of d from them with one ``bhattacharyya`` call
     (``_refresh_distance``), updates the minima from that fresh column
@@ -461,14 +445,14 @@ def run_merging(clustering: Clustering) -> MergeRun:
     d, weights, within, floor = _merge_state(clustering)
     work = _Workspace(weights.size)
     eta, partners = _row_minima(d)
-    sizes = clustering.sizes.tolist()
-    dead_slots = np.flatnonzero(clustering.sizes == 0).tolist()  # ascending
+    sizes = clustering.sizes
+    dead_slots = np.flatnonzero(sizes == 0).tolist()  # ascending
     partners[dead_slots] = -1
     steps: list[MergeStep] = []
     for k in range(clustering.k, 1, -1):
         i_star = int(eta.argmin())
         j_star = int(partners[i_star])
-        t_k = t_pair(sizes[i_star], sizes[j_star])
+        t_k = t_pair(sizes.item(i_star), sizes.item(j_star))
         pair = (i_star - bisect_left(dead_slots, i_star), j_star - bisect_left(dead_slots, j_star))
         steps.append(
             MergeStep(k=k, gamma=float(eta[i_star]), zeta=threshold(t_k), t=t_k, pair=pair)
@@ -476,11 +460,9 @@ def run_merging(clustering: Clustering) -> MergeRun:
         if k > 2:
             kept = clustering.merge(i_star, j_star, out=work.rows)
             emptied = i_star + j_star - kept
-            sizes[kept] += sizes[emptied]
-            sizes[emptied] = 0
             insort(dead_slots, emptied)
             floor[emptied] = np.inf
-            column = _refresh_distance(d, work, sizes[kept], weights, within, floor, kept)
+            column = _refresh_distance(d, work, sizes.item(kept), weights, within, floor, kept)
             _update_minima(d, eta, partners, column, floor, kept, emptied)
     return MergeRun(steps=steps, initial_labels=initial_labels)
 

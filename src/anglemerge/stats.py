@@ -58,14 +58,14 @@ def bhattacharyya(mean_w, var_w, mean_b, var_b, out=None, scratch=None):
 
     Non-negative; zero exactly when the two moment pairs coincide. The
     distance is written into ``out`` when it is given, of the broadcast
-    shape, and the two intermediate terms into ``scratch``, 2 x that shape;
-    neither may share memory with the inputs.
+    shape, and the two intermediate terms into ``scratch``, 2 x that shape,
+    which must then be given too; neither may share memory with the inputs.
+    Without ``out`` both are allocated.
     """
     given = out is not None
-    if not given or scratch is None:
+    if not given:
         dims = np.broadcast_shapes(*map(np.shape, (mean_w, var_w, mean_b, var_b)))
-        out = out if given else np.empty(dims)
-        scratch = np.empty((2, *dims)) if scratch is None else scratch
+        out, scratch = np.empty(dims), np.empty((2, *dims))
     shape, var_sum = scratch[0, ...], scratch[1, ...]
     # The shape term, then the gap term in out, one operation at a time.
     np.divide(var_w, var_b, shape)

@@ -44,16 +44,21 @@ def ally_key(cache):
     return key
 
 
-def grouped_matrices(cache, assignment, n_groups):
-    """``cache.grouped_sums`` unpacked, without the engine's help, into the
-    symmetric sums and sums-of-squares matrices: the store holds the sums
-    on and above its diagonal and the squares transposed below it, and the
-    within squares come in a vector of their own."""
-    store, within_sq = cache.grouped_sums(assignment, n_groups)
+def unpacked(store, within_sq):
+    """The symmetric sums and sums-of-squares matrices that a packed store
+    and its within squares hold: the store has the sums on and above its
+    diagonal and the squares transposed below it, and the within squares
+    come in a vector of their own."""
     sums = np.triu(store) + np.triu(store, 1).T
     squares = np.tril(store, -1)
     sumsqs = squares + squares.T + np.diag(within_sq)
     return sums, sumsqs
+
+
+def grouped_matrices(cache, assignment, n_groups):
+    """``cache.grouped_sums`` unpacked into the symmetric sums and
+    sums-of-squares matrices."""
+    return unpacked(*cache.grouped_sums(assignment, n_groups))
 
 
 def traced_peak(call, *args):

@@ -28,7 +28,7 @@ from anglemerge.geometry import DataSet, compute_angles, normalize_rows
 from anglemerge.pipeline import cluster_dataset
 from anglemerge.stats import bhattacharyya, moments, t_pair
 from anglemerge.synthetic import SubspaceSpec, gen_subspace_dependent, gen_subspace_normal
-from helpers import traced_peak, unit_sphere_points
+from helpers import traced_peak, unit_sphere_points, unpacked
 
 
 def make_cache(points):
@@ -233,7 +233,7 @@ class TestComputeScores:
         n_slots = clustering.sizes.size
         assert _DISTANCE_BLOCK // n_slots < n_slots / 2
         sizes = np.maximum(clustering.sizes, 3).astype(np.float64)
-        sums, sumsqs = clustering.sums, clustering.sumsqs
+        sums, sumsqs = unpacked(clustering.store, clustering.within_sq)
         mean_w, var_w = moments(np.diagonal(sums), np.diagonal(sumsqs), sizes * (sizes - 1) / 2)
         mean_b, var_b = moments(sums, sumsqs, np.outer(sizes, sizes))
         want = bhattacharyya(mean_w[:, None], var_w[:, None], mean_b, var_b)
@@ -318,8 +318,8 @@ class TestMergeStep:
         block = np.ix_(others, others)
         relabelled = np.where(before.labels == 4, 1, before.labels)
         np.testing.assert_array_equal(clustering.labels, relabelled)
-        for name in ("sums", "sumsqs"):
-            now, then = getattr(clustering, name), getattr(before, name)
+        for now, then in zip(unpacked(clustering.store, clustering.within_sq),
+                             unpacked(before.store, before.within_sq)):
             np.testing.assert_array_equal(now[block], then[block])
             np.testing.assert_array_equal(now[1, others], then[1, others] + then[4, others])
             np.testing.assert_array_equal(now[:, 1], now[1, :])
@@ -373,12 +373,18 @@ class TestMergeStep:
     @pytest.mark.parametrize("statistic, entry", [("w_sum", (2, 2)), ("w_sumsq", (0, 0)),
                                                   ("b_sum", (1, 3)), ("b_sumsq", (5, 0))])
     def test_consistency_oracle_catches_a_perturbed_sum(self, statistic, entry):
+        # Unmerged, the rebuild reproduces every other entry bitwise, so the
+        # oracle returns exactly the scaled entry's relative error.
         clustering, cache = self.six_slots(), self.six_slots_cache()
-        if statistic == "w_sumsq":
-            clustering.within_sq[entry[0]] *= 1.0 + 1e-6
-        else:
-            clustering.store[entry] *= 1.0 + 1e-6
-        assert clustering.consistency_error(cache) > 1e-9
+        values = clustering.within_sq if statistic == "w_sumsq" else clustering.store
+        place = entry[0] if statistic == "w_sumsq" else entry
+        s, f = values[place], 1.0 + 1e-6
+        values[place] = s * f
+        error = clustering.consistency_error(cache)
+        assert error > 1e-9
+        assert error == abs(s * f - s) / max(abs(s), 1.0)
+        values[place] = np.nan
+        assert np.isnan(clustering.consistency_error(cache))
 
     def test_consistency_oracle_catches_a_moved_point(self):
         clustering, cache = self.six_slots(), self.six_slots_cache()
@@ -747,6 +753,6 @@ class TestStaleSlotsAreNeverRead:
             a, b = (int(slot) for slot in rng.choice(stale.live, size=2, replace=False))
             merge(stale, a, b)
             poisoned.merge(a, b)
-            assert np.isnan(poisoned.sums[max(a, b)]).all()
+            assert np.isnan(unpacked(poisoned.store, poisoned.within_sq)[0][max(a, b)]).all()
             assert poisoned.consistency_error(cache) < 1e-9
             assert np.array_equal(distance_matrix(poisoned), distance_matrix(stale))

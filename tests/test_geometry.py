@@ -13,7 +13,9 @@ from anglemerge.geometry import (
     normalize_rows,
     save_points_csv,
 )
-from helpers import ally_key, angle_oracle, grouped_matrices, traced_peak, unit_sphere_points
+from helpers import (
+    ally_key, angle_oracle, grouped_matrices, traced_peak, unit_sphere_points, unpacked,
+)
 
 
 class TestDataSet:
@@ -258,13 +260,14 @@ class TestAngleCacheAccess:
         assert [a.tobytes() for a in tiled] == [a.tobytes() for a in whole]
 
     def test_grouped_sums_are_bitwise_symmetric(self):
-        # The initial distance matrix reads the k-l cross set from both
-        # (k, l) and (l, k); they must be the same number.
+        # The packed store holds each k-l cross sum once, above its
+        # diagonal, and its square once, below it, so d[k, l] and d[l, k]
+        # judge the same two numbers; unpacked, the matrices are symmetric.
         rng = np.random.default_rng(9)
         cache = compute_angles(DataSet(points=unit_sphere_points(rng, 36, 7)))
         clustering = Clustering.from_labels(cache, rng.integers(0, 6, size=36))
-        assert np.array_equal(clustering.sums, clustering.sums.T)
-        assert np.array_equal(clustering.sumsqs, clustering.sumsqs.T)
+        for matrix in unpacked(clustering.store, clustering.within_sq):
+            assert np.array_equal(matrix, matrix.T)
 
     @pytest.mark.parametrize("n_groups", [1, 300])
     def test_grouped_sums_are_symmetric_and_match_the_value_sets(self, n_groups):

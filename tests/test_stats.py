@@ -6,7 +6,7 @@ from anglemerge.errors import TooFewAnglesError
 from anglemerge.geometry import DataSet, compute_angles
 from anglemerge.stats import VAR_FLOOR, bhattacharyya, moments, t_pair
 
-from helpers import unit_sphere_points
+from helpers import unit_sphere_points, unpacked
 
 
 def moments_of(values):
@@ -100,8 +100,9 @@ class TestAngleSetStats:
         # Directions 0, 0.1 and 0.3 in the plane: pairwise angles 0.1, 0.2, 0.3.
         clustering = circle_clustering(np.array([0.0, 0.1, 0.3]), [0, 0, 0])
         assert clustering.sizes.tolist() == [3]
-        assert clustering.sums[0, 0] == pytest.approx(0.6, abs=1e-12)
-        assert clustering.sumsqs[0, 0] == pytest.approx(0.14, abs=1e-12)
+        sums, sumsqs = unpacked(clustering.store, clustering.within_sq)
+        assert sums[0, 0] == pytest.approx(0.6, abs=1e-12)
+        assert sumsqs[0, 0] == pytest.approx(0.14, abs=1e-12)
 
     def test_within_counts(self):
         # Counts are implied by the sizes: a singleton has no within angle.
@@ -109,33 +110,36 @@ class TestAngleSetStats:
         cache = compute_angles(DataSet(points=unit_sphere_points(rng, 8, 4)))
         clustering = Clustering.from_labels(cache, np.array([0, 1, 1, 1, 2, 2, 2, 2]))
         assert clustering.sizes.tolist() == [1, 3, 4]
-        assert clustering.sums[0, 0] == 0.0 and clustering.sumsqs[0, 0] == 0.0
+        sums, sumsqs = unpacked(clustering.store, clustering.within_sq)
+        assert sums[0, 0] == 0.0 and sumsqs[0, 0] == 0.0
         for k, members in ((1, [1, 2, 3]), (2, [4, 5, 6, 7])):
             values = cache.within_values(np.array(members))
             assert values.size == len(members) * (len(members) - 1) // 2
-            assert clustering.sums[k, k] == pytest.approx(values.sum(), rel=1e-12)
-            assert clustering.sumsqs[k, k] == pytest.approx(np.square(values).sum(), rel=1e-12)
+            assert sums[k, k] == pytest.approx(values.sum(), rel=1e-12)
+            assert sumsqs[k, k] == pytest.approx(np.square(values).sum(), rel=1e-12)
 
     def test_between_counts_and_symmetry(self):
         rng = np.random.default_rng(3)
         cache = compute_angles(DataSet(points=unit_sphere_points(rng, 12, 4)))
         labels = np.array([0, 0, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2])
         clustering = Clustering.from_labels(cache, labels)
-        for matrix in (clustering.sums, clustering.sumsqs):
+        sums, sumsqs = unpacked(clustering.store, clustering.within_sq)
+        for matrix in (sums, sumsqs):
             assert np.array_equal(matrix, matrix.T)
         # The diagonal holds the within sums: group 0's one angle.
         within = cache.within_values(np.array([0, 1]))
-        assert clustering.sums[0, 0] == pytest.approx(within.sum(), rel=1e-12)
+        assert sums[0, 0] == pytest.approx(within.sum(), rel=1e-12)
         cross = cache.cross_values(np.array([0, 1]), np.array([2, 3, 4]))
         assert cross.size == 6
-        assert clustering.sums[0, 1] == pytest.approx(cross.sum(), rel=1e-12)
-        assert clustering.sumsqs[0, 1] == pytest.approx(np.square(cross).sum(), rel=1e-12)
+        assert sums[0, 1] == pytest.approx(cross.sum(), rel=1e-12)
+        assert sumsqs[0, 1] == pytest.approx(np.square(cross).sum(), rel=1e-12)
 
     def test_between_single_points(self):
         clustering = circle_clustering(np.array([0.0, 0.4, np.pi / 2]), [0, 1, 2])
-        assert clustering.sums[0, 1] == pytest.approx(0.4, abs=1e-12)
-        assert clustering.sumsqs[0, 1] == pytest.approx(0.16, abs=1e-12)
-        assert np.diagonal(clustering.sums).tolist() == [0.0, 0.0, 0.0]
+        sums, sumsqs = unpacked(clustering.store, clustering.within_sq)
+        assert sums[0, 1] == pytest.approx(0.4, abs=1e-12)
+        assert sumsqs[0, 1] == pytest.approx(0.16, abs=1e-12)
+        assert np.diagonal(sums).tolist() == [0.0, 0.0, 0.0]
 
 
 class TestClusterDistance:
