@@ -1,8 +1,8 @@
 """Closed-form probability bounds for the merge threshold.
 
-The incomplete beta and gamma functions and the noncentral chi-squared CDF
-come from ``scipy.special``; the wrappers here only add the domain checks
-that turn invalid arguments into ``DomainError``. ``scipy.special`` is
+The incomplete beta and gamma functions and the normal CDF come from
+``scipy.special``; the wrappers here only add the domain checks that turn
+invalid arguments into ``DomainError``. ``scipy.special`` is
 imported when a wrapper first needs it, and ``scipy.stats`` (about half a
 second to load) never, so an import of the package loads neither.
 """
@@ -57,23 +57,19 @@ def chi2_cdf(x: float, k: float) -> float:
     return reg_inc_gamma_p(k / 2.0, x / 2.0)
 
 
-def noncentral_chi2_cdf(x: float, k: float, lam: float) -> float:
-    """CDF of the noncentral chi-squared distribution with k degrees of
-    freedom and noncentrality lam: at k = 1 the closed form for (Z + sqrt(lam))^2,
-    finite where ``chndtr`` is NaN (lam past about 1e9); else ``chndtr``."""
+def noncentral_chi2_cdf(x: float, lam: float) -> float:
+    """CDF of the noncentral chi-squared distribution with one degree of
+    freedom and noncentrality lam, in closed form for (Z + sqrt(lam))^2:
+    finite for every lam, also past about 1e9, where scipy's ``chndtr`` is
+    NaN."""
     if lam < 0.0:
         raise DomainError(f"noncentrality must be >= 0, got {lam}")
     if x <= 0.0:
         return 0.0
     from scipy import special
 
-    if k == 1:
-        root_x, root_lam = math.sqrt(x), math.sqrt(lam)
-        return float(special.ndtr(root_x - root_lam) - special.ndtr(-root_x - root_lam))
-    value = float(special.chndtr(x, k, lam))
-    if math.isnan(value):
-        raise DomainError(f"noncentral chi-squared CDF is undefined at x={x}, k={k}, lam={lam}")
-    return value
+    root_x, root_lam = math.sqrt(x), math.sqrt(lam)
+    return float(special.ndtr(root_x - root_lam) - special.ndtr(-root_x - root_lam))
 
 
 @dataclass
@@ -146,7 +142,7 @@ def delta_t(t: int, params: SeparationParams) -> float:
     tm1 = float(t - 1)
     band = chi2_cdf(tm1 * alpha, tm1) - chi2_cdf(tm1 * (2.0 - alpha), tm1)
     m = params.mean_sep
-    mean_term = 1.0 - noncentral_chi2_cdf(t * math.log1p(m) * alpha, 1.0, t * m * m)
+    mean_term = 1.0 - noncentral_chi2_cdf(t * math.log1p(m) * alpha, t * m * m)
     delta = 1.0 - band * band * mean_term
     return min(max(delta, 0.0), 1.0)
 

@@ -270,9 +270,8 @@ class AngleCache:
                 # theta[tile, start:stop], the transpose of the block's rows
                 # theta[start:stop, tile]: the sparse product reads it by rows.
                 tile = _arccos(points[tile_start:tile_stop] @ points[start:stop].T)
-                if tile_start < stop:  # the tile's first rows are the block's own
-                    skip, lead = tile_start - start, min(tile_stop, stop) - tile_start
-                    np.copyto(tile[:lead], 0.0, where=~below[skip : skip + lead, :size])
+                if tile_start == start:  # the block's rows begin its first tile, and no other
+                    np.copyto(tile[:size], 0.0, where=~below[:size, :size])
                 h0, h1 = labels[tile_start], labels[tile_stop - 1] + 1
                 cols = onehot[h0:h1, tile_start:tile_stop]
                 # scipy copies a dense operand that is not C-ordered while that
