@@ -191,7 +191,10 @@ class BoundReport:
     """All bound quantities for one sample count and separation setting.
 
     t_min_sufficient is None when no finite sample count satisfies the
-    sufficiency condition (psi <= 1).
+    sufficiency condition (psi <= 1). delta_applies says whether delta_t
+    bounds anything at this t: t >= t_min_sufficient, and False when that
+    is None. Below t_min delta_t can read far smaller than the failure
+    rate it names.
     """
 
     t: int
@@ -201,6 +204,7 @@ class BoundReport:
     psi: float
     alpha_t: float
     c: float
+    delta_applies: bool
 
 
 def bound_report(t: int, params: SeparationParams) -> BoundReport:
@@ -217,4 +221,5 @@ def bound_report(t: int, params: SeparationParams) -> BoundReport:
         psi=psi(params),
         alpha_t=alpha_t(t),
         c=_c(t),
+        delta_applies=tmin_value is not None and t >= tmin_value,
     )

@@ -88,6 +88,7 @@ def _make_report(run: ClusterRun, seed: int) -> dict:
         "initial_k": run.initial_k,
         "l_hat": run.selection.l_hat,
         "crossed": run.selection.crossed,
+        "under_split": run.under_split,
         "elapsed_ms": run.elapsed_ms,
         "trace": run.trace_rows(),
     }
@@ -224,6 +225,7 @@ def _cmd_bounds(args) -> int:
                 "psi": report.psi,
                 "alpha_t": report.alpha_t,
                 "c": report.c,
+                "delta_applies": report.delta_applies,
             }
         )
     if args.format == "json":

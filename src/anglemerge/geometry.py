@@ -28,7 +28,8 @@ _NORM_RANGE = (2.0**-500, 2.0**500)
 _BLOCK = 256
 # Fewest rows of a tile of a block's angles that ``grouped_sums`` forms at
 # a time, unless the block's rows fit in one tile; a tile holds fewer than
-# twice as many, plus the rest of a group that straddles its end.
+# twice as many, plus the rest of a group that straddles its end. At least
+# _BLOCK, so that only a block's first tile holds the block's own rows.
 _TILE_ROWS = 2 * _BLOCK
 # Rows of a labeled dataset that ``save_points_csv`` joins to their labels
 # and writes at a time.
@@ -258,7 +259,6 @@ class AngleCache:
         onehot = csc_matrix((np.ones(n), (labels, np.arange(n))), shape=(n_groups, n))
         store = np.zeros((n_groups, n_groups))
         within_sq = np.zeros(n_groups)
-        below = np.tri(_BLOCK, k=-1, dtype=bool)
         for start in range(0, n, _BLOCK):
             stop = min(start + _BLOCK, n)
             size = stop - start
@@ -271,7 +271,7 @@ class AngleCache:
                 # theta[start:stop, tile]: the sparse product reads it by rows.
                 tile = _arccos(points[tile_start:tile_stop] @ points[start:stop].T)
                 if tile_start == start:  # the block's rows begin its first tile, and no other
-                    np.copyto(tile[:size], 0.0, where=~below[:size, :size])
+                    np.copyto(tile[:size], 0.0, where=~np.tri(size, k=-1, dtype=bool))
                 h0, h1 = labels[tile_start], labels[tile_stop - 1] + 1
                 cols = onehot[h0:h1, tile_start:tile_stop]
                 # scipy copies a dense operand that is not C-ordered while that

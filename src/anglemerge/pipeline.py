@@ -19,6 +19,13 @@ from .engine import (
 from .errors import DegenerateInputError
 from .geometry import AngleCache, DataSet, compute_angles, integer_seed, normalize_rows
 
+# gamma/zeta of the K = l_hat + 1 record above which ``under_split`` is
+# raised. Chosen on seeds 0-19 of the normal, uniform and dependent models
+# at n=100 over nine (r, L, points per cluster) shapes, and checked on
+# seeds 20-39 of the same: 9 of 9 under-split crossings flagged, 0 of 495
+# other crossings.
+UNDER_SPLIT_RATIO = 0.7
+
 
 @dataclass
 class ClusterRun:
@@ -42,6 +49,32 @@ class ClusterRun:
     @property
     def initial_k(self) -> int:
         return self.merge_run.initial_k
+
+    @property
+    def under_split(self) -> dict:
+        """Whether the crossing at l_hat may have merged two true clusters,
+        read from the records at K = l_hat + 1 and K = l_hat in O(1).
+
+        ``flagged`` holds when the deciding pair at K = l_hat holds the
+        cluster the merge at K = l_hat + 1 made (the smaller rank of that
+        record's pair), that record's gamma/zeta is above
+        UNDER_SPLIT_RATIO, and t rose across that merge: the record nearly
+        crossed, and the crossing may owe itself to a wrong merge that grew
+        t. ``gamma_over_zeta`` and ``t_before`` are the K = l_hat + 1
+        record's, ``t_after`` the K = l_hat record's t; all three are None,
+        and ``flagged`` False, when no K crossed or l_hat is the initial K.
+        """
+        before = self.initial_k - self.selection.l_hat - 1  # the K = l_hat + 1 record
+        if not self.selection.crossed or before < 0:
+            return {"flagged": False, "gamma_over_zeta": None, "t_before": None, "t_after": None}
+        made, deciding = self.merge_run.steps[before : before + 2]
+        ratio = made.gamma / made.zeta
+        flagged = (
+            min(made.pair) in deciding.pair and ratio > UNDER_SPLIT_RATIO and deciding.t > made.t
+        )
+        return {
+            "flagged": flagged, "gamma_over_zeta": ratio, "t_before": made.t, "t_after": deciding.t,
+        }
 
     def trace_rows(self) -> list[dict]:
         """Per-K (gamma, zeta, t) rows of the merge trace, largest K first."""

@@ -21,6 +21,7 @@ from anglemerge.bounds import (
     t_min,
 )
 from anglemerge.errors import DomainError, NoFiniteSampleSizeError
+from anglemerge.stats import bhattacharyya, moments
 
 mp.mp.dps = 30
 
@@ -244,11 +245,14 @@ class TestBoundReport:
         assert report.alpha_t == alpha_t(40)
         assert report.alpha_t > 1.0
         assert report.c == pytest.approx(4 * (math.exp(2 / math.sqrt(39)) - 0.5))
+        assert report.delta_applies is True  # t == t_min
+        assert bound_report(39, params).delta_applies is False
 
     def test_unbounded_marker(self):
         report = bound_report(10, SeparationParams(0.0, 2.0))
         assert report.t_min_sufficient is None
         assert report.psi <= 1.0 + 1e-12
+        assert report.delta_applies is False
 
 
 class TestAnglePdf:
@@ -337,3 +341,42 @@ class TestMeanDifferenceDistribution:
         coverage = np.mean(scaled <= q95)
         tol = 3 * math.sqrt(0.95 * 0.05 / replicates)
         assert abs(coverage - 0.95) < tol
+
+
+def test_the_bounds_hold_by_simulation():
+    """epsilon_t and delta_t bound the failure rates they name, under their
+    own sampling model: two sets of t independent samples, whose distance
+    is the engine's ``bhattacharyya`` of their ``moments``. The engine's
+    clusters do not follow that model: their moments use all C(w, 2)
+    within angles, not t independent ones, so this checks the bounds, not
+    the merge decision."""
+    rng = np.random.default_rng(31)
+    draws = 20_000
+
+    def distance(a, b):
+        count = float(a.shape[1])
+        mean_a, var_a = moments(a.sum(axis=1), np.square(a).sum(axis=1), count)
+        mean_b, var_b = moments(b.sum(axis=1), np.square(b).sum(axis=1), count)
+        return bhattacharyya(mean_a, var_a, mean_b, var_b)
+
+    def allowed(bound):  # the bound plus 3 sigma of a binomial rate at it
+        return bound + 3.0 * math.sqrt(bound * (1.0 - bound) / draws)
+
+    # One population: the angle of a uniform point of an r = 10 subspace to
+    # a fixed unit vector of it. Failure is a distance above 1/sqrt(t - 1).
+    for t in (5, 11):
+        x = rng.standard_normal((2, draws, t, 10))
+        angles = np.arccos(x[..., 0] / np.linalg.norm(x, axis=-1))
+        rate = np.mean(distance(angles[0], angles[1]) > 1.0 / math.sqrt(t - 1.0))
+        assert rate <= allowed(epsilon_t(t)), (t, rate)
+    # Two Gaussian populations at a given separation, at their t_min (50
+    # and 35). Failure is a distance below 1/sqrt(t - 1).
+    for mean_sep, var_ratio_sum in ((2.0, 3.0), (3.0, 3.0)):
+        params = SeparationParams(mean_sep=mean_sep, var_ratio_sum=var_ratio_sum)
+        t = t_min(params)
+        # rho_a^2 / rho_b^2 + rho_b^2 / rho_a^2 = var_ratio_sum, with rho_b = 1.
+        rho_a = math.sqrt((var_ratio_sum + math.sqrt(var_ratio_sum**2 - 4.0)) / 2.0)
+        a = rng.normal(mean_sep * math.hypot(rho_a, 1.0), rho_a, size=(draws, t))
+        b = rng.normal(0.0, 1.0, size=(draws, t))
+        rate = np.mean(distance(a, b) < 1.0 / math.sqrt(t - 1.0))
+        assert rate <= allowed(delta_t(t, params)), (mean_sep, var_ratio_sum, rate)

@@ -48,6 +48,10 @@ class TestSynthAndCluster:
         assert report["ce"] == 0.0
         assert report["nmi"] == 1.0
         assert len(report["trace"]) == report["initial_k"] - 1
+        assert report["under_split"]["flagged"] is False
+        # The stdout line holds every report field but the trace.
+        printed = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert printed == {k: v for k, v in report.items() if k != "trace"}
         labels = np.loadtxt(out / "labels.csv", dtype=int)
         assert labels.shape == (400,)
 
@@ -361,6 +365,14 @@ class TestBounds:
         assert code == EXIT_OK
         text = capsys.readouterr().out
         assert "unbounded" in text
+
+    def test_rows_below_t_min_are_marked(self, capsys):
+        # Below t_min = 118 delta_t bounds nothing: it reads smaller at t = 11,
+        # 51 and 101 than at 151, so only the last row says it applies.
+        assert run_cli("bounds") == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith(",t_min,psi,alpha_t,c,delta_applies")
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["False"] * 3 + ["True"]
 
     def test_csv_written_to_file(self, tmp_path):
         out = tmp_path / "bounds.csv"

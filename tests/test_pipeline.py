@@ -1,11 +1,15 @@
+import json
+import platform
+
 import numpy as np
 import pytest
 
 import anglemerge
 from anglemerge.errors import DegenerateInputError
 from anglemerge.geometry import DataSet
+from anglemerge.metrics import clustering_error
 from anglemerge.pipeline import cluster_dataset
-from anglemerge.synthetic import SubspaceSpec, gen_subspace_normal
+from anglemerge.synthetic import SubspaceSpec, gen_subspace_dependent, gen_subspace_normal
 from helpers import run_python, unit_sphere_points
 
 
@@ -108,6 +112,47 @@ class TestClusterDataset:
         assert a.selection.l_hat == b.selection.l_hat
 
 
+class TestUnderSplit:
+    @pytest.mark.parametrize("seed, ratio", [(1, 0.986), (2, 0.839)])
+    def test_a_crossing_right_after_a_near_crossing_merge_is_flagged(self, seed, ratio):
+        # Four true clusters cross at l_hat = 3 with CE 0.25: the merge at
+        # K = 4, at gamma/zeta near 1, joined two of them and took t from
+        # 17 to 35, so zeta fell below the merged pair's distance.
+        data = gen_subspace_normal(SubspaceSpec(n=100, r=10, L=4, N=140, seed=seed))
+        run = cluster_dataset(data, seed=seed)
+        assert run.selection.crossed and run.selection.l_hat == 3
+        assert clustering_error(data.labels, run.labels) == 0.25
+        flag = run.under_split
+        assert flag["flagged"] is True
+        assert flag["gamma_over_zeta"] == pytest.approx(ratio, abs=1e-3)
+        assert (flag["t_before"], flag["t_after"]) == (17, 35)
+
+    @pytest.mark.parametrize("generate, n_points, l_true, ratio", [
+        (gen_subspace_normal, 4000, 10, 0.008),
+        (gen_subspace_dependent, 600, 12, 0.123),
+    ], ids=["normal-4000", "dependent-600"])
+    def test_a_clear_crossing_is_not_flagged(self, generate, n_points, l_true, ratio):
+        data = generate(SubspaceSpec(n=100, r=10, L=l_true, N=n_points, seed=0))
+        run = cluster_dataset(data, seed=0)
+        assert run.selection.crossed and run.selection.l_hat == l_true
+        flag = run.under_split
+        assert flag["flagged"] is False
+        assert flag["gamma_over_zeta"] == pytest.approx(ratio, abs=1e-3)
+        assert flag["t_after"] > flag["t_before"]
+
+    def test_no_record_before_the_crossing_gives_nulls(self):
+        nulls = {"flagged": False, "gamma_over_zeta": None, "t_before": None, "t_after": None}
+        data = gen_subspace_normal(SubspaceSpec(n=60, r=6, L=2, N=120, seed=1))
+        # Started from the true labels, the one record, at K = 2, crosses.
+        run = cluster_dataset(data, seed=0, initial_labels=data.labels)
+        assert run.selection.crossed and run.selection.l_hat == run.initial_k == 2
+        assert run.under_split == nulls
+        # Three points make one cluster and no crossing.
+        run = cluster_dataset(DataSet(points=np.array([[1.0, 0.2], [0.5, 1.0], [1.0, 1.0]])))
+        assert not run.selection.crossed
+        assert run.under_split == nulls
+
+
 LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
 
 
@@ -186,6 +231,65 @@ def test_results_do_not_depend_on_the_blas_thread_count():
     one, two = (run_python(RUN_HASH, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
     assert len(one) == 64
     assert one == two
+
+
+DETERMINISM_RUN = """
+import json, os
+os.dup2(1, 2)  # OpenBLAS names its kernel on stderr as it loads
+import numpy as np
+from anglemerge import cluster_dataset
+from anglemerge.synthetic import SubspaceSpec, gen_subspace_dependent
+data = gen_subspace_dependent(SubspaceSpec(n=100, r=10, L=12, N=600, seed=0))
+run = cluster_dataset(data, seed=0)
+steps = run.merge_run.steps
+print(json.dumps({
+    "simd": np.show_config(mode="dicts")["SIMD Extensions"].get("found", []),
+    "records": [(s.k, s.t, s.pair) for s in steps],
+    "gamma": [s.gamma for s in steps],
+    "initial": run.merge_run.initial_labels.tolist(),
+    "labels": run.labels.tolist(),
+}))
+"""
+
+
+def _dynamic_openblas() -> dict | None:
+    """numpy's build and CPU dispatch record when its BLAS is OpenBLAS built
+    with DYNAMIC_ARCH, so that OPENBLAS_CORETYPE picks the kernel; else None.
+    ``show_config(mode="dicts")`` needs numpy >= 1.25."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        return None
+    blas = config["Build Dependencies"]["blas"]
+    dynamic = "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+    return config if "openblas" in blas["name"] and dynamic else None
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64") or _dynamic_openblas() is None,
+    reason="needs x86-64 and numpy on an OpenBLAS built with DYNAMIC_ARCH",
+)
+def test_decisions_do_not_depend_on_the_blas_kernel_or_simd_path():
+    # Across kernels the last bits of gamma may move, since a product's sum
+    # order does, but no decision: the same records, initial labels and
+    # labels, and gamma within 1e-11 relative. Prescott is an SSE-level
+    # kernel, legal on every x86-64 CPU. numpy is run with every dispatch
+    # group this CPU supports turned off, so only its baseline SIMD paths.
+    groups = _dynamic_openblas()["SIMD Extensions"].get("found", [])
+    plain, prescott, baseline = (
+        run_python(DETERMINISM_RUN, OPENBLAS_VERBOSE="2", **env).splitlines()
+        for env in ({}, {"OPENBLAS_CORETYPE": "Prescott"},
+                    {"NPY_DISABLE_CPU_FEATURES": " ".join(groups)})
+    )
+    assert any(line in ("Core: Prescott", "Core: Katmai") for line in prescott[:-1]), prescott
+    expected = json.loads(plain[-1])
+    assert expected["simd"] == groups
+    for out in (prescott, baseline):
+        run = json.loads(out[-1])
+        assert run["records"] == expected["records"]
+        assert run["initial"] == expected["initial"] and run["labels"] == expected["labels"]
+        np.testing.assert_allclose(run["gamma"], expected["gamma"], rtol=1e-11, atol=0.0)
+    assert json.loads(baseline[-1])["simd"] == []
 
 
 def test_star_import_resolves_every_export():

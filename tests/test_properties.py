@@ -159,15 +159,18 @@ def test_grouped_sums_do_not_depend_on_the_tile_rows(seed, sizes, big, data):
     # of 1/16 with |x . y| < 1, so every inner product is exact in any
     # order of addition: this test is about how the tiles sum, not about
     # how BLAS rounds a product of a few rows (see geometry._tile_stop).
+    # Blocks of 16 rows give blocks of several tiles at these sizes; a tile
+    # is never shorter than a block, as _TILE_ROWS = 2 * _BLOCK in use.
     sizes.insert(data.draw(st.integers(0, len(sizes))), big)
     rng = np.random.default_rng(seed)
     points = rng.integers(-3, 4, size=(sum(sizes), 6)) / 16.0
     assignment = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
     cache = AngleCache(points)
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_BLOCK", 16)
         patch.setattr(geometry, "_TILE_ROWS", len(points))
         whole = [a.tobytes() for a in cache.grouped_sums(assignment, len(sizes))]
-        for rows in (1, 7, 64):
+        for rows in (16, 23, 64):
             patch.setattr(geometry, "_TILE_ROWS", rows)
             assert [a.tobytes() for a in cache.grouped_sums(assignment, len(sizes))] == whole
 
