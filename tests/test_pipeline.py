@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import anglemerge
+from anglemerge.engine import MergeRun, MergeStep, SelectionResult
 from anglemerge.errors import DegenerateInputError
 from anglemerge.geometry import DataSet
 from anglemerge.metrics import clustering_error
-from anglemerge.pipeline import cluster_dataset
+from anglemerge.pipeline import ClusterRun, cluster_dataset
 from anglemerge.synthetic import SubspaceSpec, gen_subspace_dependent, gen_subspace_normal
 from helpers import run_python, unit_sphere_points
 
@@ -139,6 +140,25 @@ class TestUnderSplit:
         assert flag["flagged"] is False
         assert flag["gamma_over_zeta"] == pytest.approx(ratio, abs=1e-3)
         assert flag["t_after"] > flag["t_before"]
+
+    @pytest.mark.parametrize("deciding_pair, gamma, t_after, flagged", [
+        ((1, 0), 0.24, 35, True),
+        ((0, 2), 0.24, 35, False),  # the deciding pair lacks rank 1, the cluster K = 4 made
+        ((1, 0), 0.10, 35, False),  # gamma/zeta 0.4 at K = 4
+        ((1, 0), 0.24, 17, False),  # t did not rise across the merge
+    ], ids=["flagged", "other-pair", "far-from-crossing", "same-t"])
+    def test_each_condition_is_needed(self, deciding_pair, gamma, t_after, flagged):
+        # Records at K = 5..2 of a run that crossed at l_hat = 3.
+        steps = [
+            MergeStep(5, 0.01, 0.30, 9, (2, 4)),
+            MergeStep(4, gamma, 0.25, 17, (1, 3)),
+            MergeStep(3, 0.18, 0.17, t_after, deciding_pair),
+            MergeStep(2, 0.50, 0.10, 60, (0, 1)),
+        ]
+        run = ClusterRun(selection=SelectionResult(l_hat=3, labels=np.zeros(5), crossed=True),
+                         merge_run=MergeRun(steps=steps, initial_labels=np.arange(5)),
+                         angles=None, data=None, elapsed_ms=0.0)
+        assert run.under_split["flagged"] is flagged
 
     def test_no_record_before_the_crossing_gives_nulls(self):
         nulls = {"flagged": False, "gamma_over_zeta": None, "t_before": None, "t_after": None}
