@@ -1,10 +1,11 @@
 """Closed-form probability bounds for the merge threshold.
 
-The incomplete beta and gamma functions and the normal CDF come from
-``scipy.special``; the wrappers here only add the domain checks that turn
-invalid arguments into ``DomainError``. ``scipy.special`` is
-imported when a wrapper first needs it, and ``scipy.stats`` (about half a
-second to load) never, so an import of the package loads neither.
+The beta prime, chi-squared and noncentral chi-squared CDFs call the
+incomplete beta and gamma functions and the normal CDF of
+``scipy.special`` directly; they add only the domain checks that turn
+invalid arguments into ``DomainError``. ``scipy.special`` is imported when
+a CDF first needs it, and ``scipy.stats`` (about half a second to load)
+never, so an import of the package loads neither.
 """
 
 from __future__ import annotations
@@ -15,46 +16,32 @@ from dataclasses import dataclass
 from .errors import DomainError, NoFiniteSampleSizeError
 
 
-def reg_inc_gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    if a <= 0.0:
-        raise DomainError(f"gamma shape must be positive, got a={a}")
-    if x < 0.0:
-        raise DomainError(f"gamma argument must be >= 0, got x={x}")
-    # Imported here, not with the module: a process that computes no bound
-    # should not pay the load of scipy.special.
-    from scipy import special
-
-    return float(special.gammainc(a, x))
-
-
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
+def beta_prime_cdf(x: float, a: float, b: float) -> float:
+    """CDF of the beta prime distribution: the regularized incomplete beta
+    I_{x/(1+x)}(a, b)."""
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"beta shapes must be positive, got a={a}, b={b}")
-    if x < 0.0 or x > 1.0:
-        raise DomainError(f"beta argument must be in [0, 1], got x={x}")
-    from scipy import special
-
-    return float(special.betainc(a, b, x))
-
-
-def beta_prime_cdf(x: float, a: float, b: float) -> float:
-    """CDF of the beta prime distribution: I_{x/(1+x)}(a, b)."""
     if x < 0.0:
         raise DomainError(f"beta prime argument must be >= 0, got x={x}")
     if math.isinf(x):
         return 1.0
-    return reg_inc_beta(x / (1.0 + x), a, b)
+    # Imported here, not with the module: a process that computes no bound
+    # should not pay the load of scipy.special.
+    from scipy import special
+
+    return float(special.betainc(a, b, x / (1.0 + x)))
 
 
 def chi2_cdf(x: float, k: float) -> float:
-    """CDF of the chi-squared distribution with k degrees of freedom."""
+    """CDF of the chi-squared distribution with k degrees of freedom: the
+    regularized lower incomplete gamma P(k/2, x/2)."""
     if k <= 0:
         raise DomainError(f"degrees of freedom must be positive, got k={k}")
     if x <= 0.0:
         return 0.0
-    return reg_inc_gamma_p(k / 2.0, x / 2.0)
+    from scipy import special
+
+    return float(special.gammainc(k / 2.0, x / 2.0))
 
 
 def noncentral_chi2_cdf(x: float, lam: float) -> float:

@@ -17,16 +17,12 @@ with no angle ever re-read. Clusters keep their P initial slots, so a
 merge costs O(P), with no per-merge copies: points are relabelled once,
 when their labels are read. A merge of slot q into slot p reads rows p
 and q of the store and, in strided passes, columns p and q, and writes
-row p and column p. In the distance matrix d it writes row p whole and
-column p in one strided pass, both from one ``moments`` and one
-``bhattacharyya`` call over all P slots, which write into buffers kept
-for the run; it reads no column of d. The emptied slot's rows and
-columns, of the store and of d, are left stale and masked wherever a
-whole row is read. ``run_merging`` caches each slot's row minimum
-(Muellner, arXiv:1109.2378), so merging is O(P^2) overall when few rows
-lose their partner per merge, O(P^3) at worst, and its trace records
-O(1) values per K. While merging, the store and d are the only P x P
-arrays.
+row p and column p; the emptied slot's row and column go stale.
+``run_merging`` records O(1) values per K and merges the recorded pair.
+What it keeps between merges, the distance matrix d and each slot's
+cached row minimum of it, is one ``_MergeState``, so merging is
+O(P^2) overall when few rows lose their partner per merge, O(P^3) at
+worst. While merging, the store and d are the only P x P arrays.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, TooFewAnglesError
-from .geometry import AngleCache, integer_labels, integer_seed
+from .geometry import AngleCache, _is_integer, integer_labels, integer_seed
 from .stats import bhattacharyya, moments, t_pair
 
 # Entries of d that distance_matrix computes at a time, in rows (at least
@@ -202,99 +198,135 @@ def distance_matrix(clustering: Clustering) -> np.ndarray:
     at a time, whether or not some slots are empty, so besides d the
     temporaries stay O(_DISTANCE_BLOCK).
     """
-    return _merge_state(clustering)[0]
+    return _MergeState(clustering).d
 
 
-def _merge_state(clustering: Clustering):
-    """What the merge loop keeps beside ``clustering``: d, as in
-    ``distance_matrix``; each slot's size as a float count, an empty slot
-    counted as 3 points; a 2 x 2 x P array whose [:, 1] holds each slot's
-    within mean and variance ([:, 0] is ``_refresh_distance``'s scratch);
-    and ``floor``, -inf at a live slot and +inf at an empty one, which
-    ``np.fmax`` lays over a row of distances to mask the empty slots."""
-    if clustering.k < 2:
-        raise DegenerateInputError("need at least 2 clusters")
-    smallest = int(clustering.sizes[clustering.live].min())
-    if smallest < 3:
-        raise TooFewAnglesError(f"every cluster needs >= 3 points, smallest has {smallest}")
-    # Live sizes are >= 3, so every count is above 1. An empty slot counts
-    # as 3 points: its stale, finite sums then give finite entries, as the
-    # diagonal's within sums read as between sums do, until set to inf.
-    weights = np.maximum(clustering.sizes, 3).astype(np.float64)
-    store, within_sq = clustering.store, clustering.within_sq
-    n_slots = weights.size
-    within = np.empty((2, 2, n_slots))
-    moments(np.diagonal(store), within_sq, weights * (weights - 1.0) / 2.0, out=within[:, 1])
-    mean_w, var_w = within[:, 1]
-    d = np.empty((n_slots, n_slots))
-    step = max(1, _DISTANCE_BLOCK // n_slots)
-    for start in range(0, n_slots, step):
-        stop = min(start + step, n_slots)
-        r, cut = slice(start, stop), stop - start
-        # For a slot k of the block and l >= k, row k of the store holds
-        # the k-l sums and column k their squares: the between moments of
-        # every pair from the block rightwards, stale left of its diagonal.
-        squares = np.ascontiguousarray(store[start:, r].T)
-        mean_b, var_b = moments(store[r, start:], squares, weights[r, None] * weights[start:])
-        # d[k, l] and d[l, k] judge the same moments against k's and l's
-        # within moments.
-        d[r, start:] = bhattacharyya(mean_w[r, None], var_w[r, None], mean_b, var_b)
-        mirror = bhattacharyya(mean_w[start:], var_w[start:], mean_b, var_b).T
-        d[stop:, r] = mirror[cut:]
-        square = d[r, r]
-        below = np.tri(cut, k=-1, dtype=bool)
-        square[below] = mirror[:cut][below]
-    empty = clustering.sizes == 0
-    d[empty, :] = d[:, empty] = np.inf
-    np.fill_diagonal(d, np.inf)
-    floor = np.where(empty, np.inf, -np.inf)
-    return d, weights, within, floor
+class _MergeState:
+    """What the merge loop keeps beside ``clustering``, whose ``sizes`` it
+    reads, brought up to date by ``merge``:
 
+    - ``d``, as ``distance_matrix`` describes it;
+    - ``eta`` and ``partners``, each slot's cached row minimum of d and
+      the first column attaining it (Muellner, arXiv:1109.2378); an empty
+      slot scores +inf with partner -1, so no partner names an empty slot;
+    - ``weights``, each slot's size as a float count, an empty slot
+      counted as 3 points;
+    - ``within``, a 2 x 2 x P array whose [:, 1] holds each slot's within
+      mean and variance ([:, 0] is ``merge``'s scratch);
+    - ``floor``, -inf at a live slot and +inf at an empty one, which
+      ``np.fmax`` lays over a row of distances to mask the empty slots;
+    - ``dead_slots``, the empty slots ascending, from which ``ranks``
+      counts;
+    - the O(P) buffers every merge writes into: the merged slot's
+      statistics rows (``Clustering.merge``'s ``out``), its counts and
+      moments, and the fresh distances and their scratch.
 
-class _Workspace:
-    """The O(P) buffers one ``run_merging`` call writes every merge into:
-    the merged slot's statistics rows (``Clustering.merge``'s ``out``), its
-    counts and moments, and the fresh distances and their scratch."""
-
-    def __init__(self, n_slots: int):
-        self.rows = np.empty((2, n_slots))
-        self.count = np.empty(n_slots)
-        self.moments = np.empty((2, n_slots))
-        self.fresh = np.empty((2, n_slots))
-        self.scratch = np.empty((2, 2, n_slots))
-
-
-def _refresh_distance(d: np.ndarray, work: _Workspace, size: int, weights: np.ndarray,
-                      within: np.ndarray, floor: np.ndarray, kept: int) -> np.ndarray:
-    """Recompute row and column ``kept`` of d after a merge into slot
-    ``kept``, now of ``size`` points, whose statistics rows ``work.rows``
-    holds, and the slot's entries of ``weights`` and ``within``; returns
-    the fresh column. ``floor`` marks the empty slots, the one just emptied
-    included.
-
-    One ``moments`` call over those rows gives the between moments against
-    every slot and, at index ``kept`` (count C(n, 2)), the slot's own
-    within moments. The statistics are symmetric, so one ``bhattacharyya``
-    call over a 2 x P stack gives both directions: slot ``kept``'s within
-    moments against every row entry, and every slot's against it. Each
-    writes into ``work``. Empty slots and the diagonal read +inf, and the
-    row and the column are each written once, whole. Rows and columns of
-    empty slots are left stale: a rescan masks them (``_update_minima``).
+    Dead slots' rows and columns of d go stale, as their statistics do.
+    After every merge each live slot's eta and partner equal
+    ``_row_minima`` of d's live block, bitwise.
     """
-    weights[kept] = size
-    count = np.multiply(weights, weights[kept], out=work.count)
-    count[kept] = size * (size - 1.0) / 2.0
-    rows = work.rows
-    mean, var = moments(rows[0], rows[1], count, out=work.moments)
-    mean_w, var_w = within[0], within[1]
-    mean_w[:, kept], var_w[:, kept] = mean[kept], var[kept]
-    mean_w[0], var_w[0] = mean[kept], var[kept]
-    fresh = bhattacharyya(mean_w, var_w, mean, var, out=work.fresh, scratch=work.scratch)
-    np.fmax(fresh, floor, out=fresh)
-    fresh[:, kept] = np.inf
-    d[kept] = fresh[0]
-    d[:, kept] = fresh[1]
-    return fresh[1]
+
+    def __init__(self, clustering: Clustering):
+        if clustering.k < 2:
+            raise DegenerateInputError("need at least 2 clusters")
+        smallest = int(clustering.sizes[clustering.live].min())
+        if smallest < 3:
+            raise TooFewAnglesError(f"every cluster needs >= 3 points, smallest has {smallest}")
+        # Live sizes are >= 3, so every count is above 1. An empty slot counts
+        # as 3 points: its stale, finite sums then give finite entries, as the
+        # diagonal's within sums read as between sums do, until set to inf.
+        weights = np.maximum(clustering.sizes, 3).astype(np.float64)
+        store, within_sq = clustering.store, clustering.within_sq
+        n_slots = weights.size
+        within = np.empty((2, 2, n_slots))
+        moments(np.diagonal(store), within_sq, weights * (weights - 1.0) / 2.0, out=within[:, 1])
+        mean_w, var_w = within[:, 1]
+        d = np.empty((n_slots, n_slots))
+        step = max(1, _DISTANCE_BLOCK // n_slots)
+        for start in range(0, n_slots, step):
+            stop = min(start + step, n_slots)
+            r, cut = slice(start, stop), stop - start
+            # For a slot k of the block and l >= k, row k of the store holds
+            # the k-l sums and column k their squares: the between moments of
+            # every pair from the block rightwards, stale left of its diagonal.
+            squares = np.ascontiguousarray(store[start:, r].T)
+            mean_b, var_b = moments(store[r, start:], squares, weights[r, None] * weights[start:])
+            # d[k, l] and d[l, k] judge the same moments against k's and l's
+            # within moments.
+            d[r, start:] = bhattacharyya(mean_w[r, None], var_w[r, None], mean_b, var_b)
+            mirror = bhattacharyya(mean_w[start:], var_w[start:], mean_b, var_b).T
+            d[stop:, r] = mirror[cut:]
+            square = d[r, r]
+            below = np.tri(cut, k=-1, dtype=bool)
+            square[below] = mirror[:cut][below]
+        empty = clustering.sizes == 0
+        d[empty, :] = d[:, empty] = np.inf
+        np.fill_diagonal(d, np.inf)
+        self.clustering, self.d, self.weights, self.within = clustering, d, weights, within
+        self.floor = np.where(empty, np.inf, -np.inf)
+        self.eta, self.partners = _row_minima(d)
+        self.dead_slots = np.flatnonzero(empty).tolist()
+        self.partners[self.dead_slots] = -1
+        self.rows, self.moments, self.fresh = (np.empty((2, n_slots)) for _ in range(3))
+        self.count, self.scratch = np.empty(n_slots), np.empty((2, 2, n_slots))
+
+    def pair(self) -> tuple[int, int]:
+        """The mergeable pair: the slot of least eta, the first on ties,
+        and its partner."""
+        i_star = int(self.eta.argmin())
+        return i_star, int(self.partners[i_star])
+
+    def ranks(self, a: int, b: int) -> tuple[int, int]:
+        """Slots a and b numbered among the live slots, 0..K-1 in slot order."""
+        dead = self.dead_slots
+        return a - bisect_left(dead, a), b - bisect_left(dead, b)
+
+    def merge(self, a: int, b: int) -> None:
+        """Merge slots a and b (``Clustering.merge``) into ``kept``, the
+        smaller, and bring the state up to date.
+
+        One ``moments`` call over the merged slot's statistics rows gives
+        the between moments against every slot and, at index ``kept``
+        (count C(n, 2)), the slot's own within moments. The statistics are
+        symmetric, so one ``bhattacharyya`` call over a 2 x P stack gives
+        both directions: slot ``kept``'s within moments against every row
+        entry, and every slot's against it. Empty slots and the diagonal
+        read +inf, and row and column ``kept`` of d are each written once,
+        whole; no column of d is read.
+
+        Only column ``kept`` changed in the rows other than ``kept``. Row
+        ``kept`` and every row whose partner was one of the merged pair are
+        rescanned in full, from a copy whose empty columns read +inf. Every
+        other row takes ``kept`` when its new distance is smaller than the
+        cached minimum, or equal with ``kept`` the smaller column, as
+        argmin's first-occurrence rule would.
+        """
+        d, weights, floor, eta, partners = self.d, self.weights, self.floor, self.eta, self.partners
+        kept = self.clustering.merge(a, b, out=self.rows)
+        emptied = a + b - kept
+        insort(self.dead_slots, emptied)
+        floor[emptied] = np.inf
+        size = self.clustering.sizes.item(kept)
+        weights[kept] = size
+        count = np.multiply(weights, weights[kept], out=self.count)
+        count[kept] = size * (size - 1.0) / 2.0
+        mean, var = moments(self.rows[0], self.rows[1], count, out=self.moments)
+        mean_w, var_w = self.within[0], self.within[1]
+        mean_w[:, kept], var_w[:, kept] = mean[kept], var[kept]
+        mean_w[0], var_w[0] = mean[kept], var[kept]
+        fresh = bhattacharyya(mean_w, var_w, mean, var, out=self.fresh, scratch=self.scratch)
+        np.fmax(fresh, floor, out=fresh)
+        fresh[:, kept] = np.inf
+        d[kept] = fresh[0]
+        column = d[:, kept] = fresh[1]
+        eta[emptied], partners[emptied] = np.inf, -1
+        rescan = (partners == kept) | (partners == emptied)
+        rescan[kept] = True
+        take = (column < eta) | ((column == eta) & (kept < partners))
+        np.copyto(eta, column, where=take)
+        np.copyto(partners, kept, where=take)
+        rows = rescan.nonzero()[0]
+        eta[rows], partners[rows] = _row_minima(np.fmax(d.take(rows, axis=0), floor))
 
 
 @dataclass
@@ -312,44 +344,20 @@ def compute_scores(clustering: Clustering) -> ScoreSet:
     the clustering score gamma = min_j eta_j, and the mergeable pair
     attaining it, all in slot numbers.
 
-    Empty slots score +inf and are never picked. Ties break to the smallest
-    slot, then the smallest partner slot (argmin picks the first occurrence).
+    Empty slots score +inf with partner -1 and are never picked. Ties
+    break to the smallest slot, then the smallest partner slot (argmin
+    picks the first occurrence).
     """
-    eta, partners = _row_minima(distance_matrix(clustering))
-    i_star = int(np.argmin(eta))
-    j_star = int(partners[i_star])
-    return ScoreSet(eta=eta, partners=partners, gamma=float(eta[i_star]), pair=(i_star, j_star))
+    state = _MergeState(clustering)
+    i_star, j_star = state.pair()
+    return ScoreSet(eta=state.eta, partners=state.partners, gamma=float(state.eta[i_star]),
+                    pair=(i_star, j_star))
 
 
 def _row_minima(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's minimum and the first column attaining it."""
     partners = rows.argmin(axis=1)
     return rows[np.arange(rows.shape[0]), partners], partners
-
-
-def _update_minima(d: np.ndarray, eta: np.ndarray, partners: np.ndarray, column: np.ndarray,
-                   floor: np.ndarray, kept: int, emptied: int) -> None:
-    """Bring the cached row minima up to date after ``_refresh_distance``
-    merged slot ``emptied`` into slot ``kept`` and returned ``column``, the
-    new column ``kept``; ``floor`` marks the empty slots.
-
-    Slot ``emptied`` now scores +inf with partner -1, as every empty slot
-    does, so no partner names an empty slot. Only column ``kept`` changed
-    in the rows other than ``kept``. Row ``kept`` and every row whose
-    partner was ``kept`` or ``emptied`` are rescanned in full, from a copy
-    whose empty columns read +inf. Every other row takes ``kept`` when its
-    new distance is smaller than the cached minimum, or equal with ``kept``
-    the smaller column, as argmin's first-occurrence rule would. Every live
-    row then equals ``_row_minima`` of the live block bitwise.
-    """
-    eta[emptied], partners[emptied] = np.inf, -1
-    rescan = (partners == kept) | (partners == emptied)
-    rescan[kept] = True
-    take = (column < eta) | ((column == eta) & (kept < partners))
-    np.copyto(eta, column, where=take)
-    np.copyto(partners, kept, where=take)
-    rows = rescan.nonzero()[0]
-    eta[rows], partners[rows] = _row_minima(np.fmax(d.take(rows, axis=0), floor))
 
 
 def merge_step(clustering: Clustering, pair: tuple[int, int]) -> Clustering:
@@ -400,7 +408,7 @@ class MergeRun:
         the first initial_k - k merges. k = 1 replays every record: the
         K = 2 record holds the pair of the last merge, so every point then
         has label 0."""
-        if not isinstance(k, (int, np.integer)):
+        if not _is_integer(k):
             raise DegenerateInputError(f"k must be an integer, got {k!r}")
         if not 1 <= k <= self.initial_k:
             raise DegenerateInputError(f"k must be in [1, {self.initial_k}], got {k}")
@@ -423,47 +431,24 @@ def run_merging(clustering: Clustering) -> MergeRun:
     loop ends after recording K = 2. The clustering is consumed, merged in
     place down to K = 2; a one-cluster input gives an empty trace.
     Records number the K live slots 0..K-1 in slot order, as labels_at does.
-
-    The loop keeps one state beside the clustering, whose ``sizes`` it
-    reads: the distance matrix d, each slot's cached row minimum eta and
-    partner, each slot's within moments and float count, the sorted list
-    of dead slots, from which a record's ranks are counted, and one
-    ``_Workspace`` of O(P) buffers. A merge (``Clustering.merge``)
-    leaves the merged slot's statistics in the workspace, refreshes row
-    and column p of d from them with one ``bhattacharyya`` call
-    (``_refresh_distance``), updates the minima from that fresh column
-    without reading d's, and rescans only the rows ``_update_minima``
-    names. No point is relabelled inside the loop: the clustering's
-    labels follow its merges once, when read. Dead slots' rows and columns of d go stale,
-    as their statistics do. gamma and the pair equal ``compute_scores`` on
-    a fresh distance matrix at every K, bitwise, and the loop costs O(P^2)
-    overall when few rows lose their partner per merge, O(P^3) at worst.
+    The pair, its score and the merges come from one ``_MergeState``, so
+    gamma and the pair equal ``compute_scores`` on a fresh distance matrix
+    at every K, bitwise. No point is relabelled inside the loop: the
+    clustering's labels follow its merges once, when read.
     """
     initial_labels = (np.cumsum(clustering.sizes > 0) - 1)[clustering.labels]
     if clustering.k < 2:
         return MergeRun(steps=[], initial_labels=initial_labels)
-    d, weights, within, floor = _merge_state(clustering)
-    work = _Workspace(weights.size)
-    eta, partners = _row_minima(d)
+    state = _MergeState(clustering)
     sizes = clustering.sizes
-    dead_slots = np.flatnonzero(sizes == 0).tolist()  # ascending
-    partners[dead_slots] = -1
     steps: list[MergeStep] = []
     for k in range(clustering.k, 1, -1):
-        i_star = int(eta.argmin())
-        j_star = int(partners[i_star])
+        i_star, j_star = state.pair()
         t_k = t_pair(sizes.item(i_star), sizes.item(j_star))
-        pair = (i_star - bisect_left(dead_slots, i_star), j_star - bisect_left(dead_slots, j_star))
-        steps.append(
-            MergeStep(k=k, gamma=float(eta[i_star]), zeta=threshold(t_k), t=t_k, pair=pair)
-        )
+        steps.append(MergeStep(k=k, gamma=float(state.eta[i_star]), zeta=threshold(t_k), t=t_k,
+                               pair=state.ranks(i_star, j_star)))
         if k > 2:
-            kept = clustering.merge(i_star, j_star, out=work.rows)
-            emptied = i_star + j_star - kept
-            insort(dead_slots, emptied)
-            floor[emptied] = np.inf
-            column = _refresh_distance(d, work, sizes.item(kept), weights, within, floor, kept)
-            _update_minima(d, eta, partners, column, floor, kept, emptied)
+            state.merge(i_star, j_star)
     return MergeRun(steps=steps, initial_labels=initial_labels)
 
 

@@ -40,15 +40,21 @@ _CSV_ROWS = 1024
 class DataSet:
     """Points in R^n, one per row, with optional integer ground-truth labels.
 
-    Invariants: at least 3 points, ambient dimension at least 2, finite
-    coordinates, and when labels are present they have one entry per point.
+    Invariants: at least 3 points, ambient dimension at least 2, real and
+    finite coordinates, and when labels are present they have one entry per
+    point.
     """
 
     points: np.ndarray
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
+        points = np.asarray(self.points)
+        # A complex array would cast to float64 with a warning and lose its
+        # imaginary parts: a silent wrong answer.
+        if points.dtype.kind == "c":
+            raise DegenerateInputError(f"points must be real, got dtype {points.dtype}")
+        self.points = np.asarray(points, dtype=np.float64)
         if self.points.ndim != 2:
             raise DegenerateInputError(f"points must be 2-D, got shape {self.points.shape}")
         n_points, dim = self.points.shape
@@ -104,10 +110,16 @@ def exact_float_labels(labels: np.ndarray, what: str) -> np.ndarray:
     return labels
 
 
+def _is_integer(value) -> bool:
+    """The package's one integer rule for a scalar argument: a Python or
+    numpy integer, and not a float or a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def integer_seed(seed) -> int:
     """``seed`` as an int. Raises DegenerateInputError unless it is a
-    non-negative integer (a Python or numpy integer, not a float)."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    non-negative integer (``_is_integer``)."""
+    if not _is_integer(seed) or seed < 0:
         raise DegenerateInputError(f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError
-from .geometry import DataSet, integer_seed
+from .geometry import DataSet, _is_integer, integer_seed
 
 # Rows of centroids ``gen_dp`` gathers at a time to add into its noise.
 _GATHER_ROWS = 1024
@@ -42,6 +42,7 @@ class SubspaceSpec:
 
     def __post_init__(self):
         integer_seed(self.seed)
+        _integer_fields(self, "n", "r", "L", "N")
         if not 2 <= self.r < self.n:
             raise DegenerateInputError(f"need 2 <= r < n, got r={self.r}, n={self.n}")
         if self.L < 1:
@@ -66,6 +67,7 @@ class DPSpec:
 
     def __post_init__(self):
         integer_seed(self.seed)
+        _integer_fields(self, "n", "N")
         if self.n < 2:
             raise DegenerateInputError(f"need n >= 2, got {self.n}")
         for name in ("rho", "sigma", "alpha"):
@@ -74,6 +76,15 @@ class DPSpec:
                 raise DegenerateInputError(f"{name} must be finite and positive, got {value}")
         if self.N < 3:
             raise DegenerateInputError(f"need N >= 3, got {self.N}")
+
+
+def _integer_fields(spec, *names: str) -> None:
+    """Raise DegenerateInputError naming the first of ``spec``'s fields
+    ``names`` that is not an integer (``_is_integer``)."""
+    for name in names:
+        value = getattr(spec, name)
+        if not _is_integer(value):
+            raise DegenerateInputError(f"{name} must be an integer, got {value!r}")
 
 
 def _group_counts(total: int, groups: int) -> list[int]:

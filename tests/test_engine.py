@@ -10,11 +10,8 @@ from anglemerge.engine import (
     Clustering,
     MergeRun,
     MergeStep,
-    _merge_state,
-    _refresh_distance,
+    _MergeState,
     _row_minima,
-    _update_minima,
-    _Workspace,
     compute_scores,
     distance_matrix,
     initial_clustering,
@@ -225,6 +222,7 @@ class TestComputeScores:
         assert np.isfinite(scores.eta[live]).all()
         assert set(scores.pair) <= set(live)
         assert set(scores.partners[live].tolist()) <= set(live)
+        assert scores.partners[empty].tolist() == [-1, -1]
 
     def test_distance_matrix_equals_the_one_shot_formula(self):
         # d is built a block of rows at a time; at P=600 that is several
@@ -444,8 +442,9 @@ class TestRunMerging:
     def test_labels_at_rejects_a_non_integer_k(self):
         cache = make_cache(two_bundle_points())
         run = run_merging(Clustering.from_labels(cache, np.array([0, 0, 0, 1, 1, 1])))
-        with pytest.raises(DegenerateInputError, match="integer"):
-            run.labels_at(2.5)
+        for k in (2.5, True, np.bool_(True)):
+            with pytest.raises(DegenerateInputError, match="integer"):
+                run.labels_at(k)
         np.testing.assert_array_equal(run.labels_at(np.int64(2)), run.labels_at(2))
 
     def test_labels_at_spans_one_to_initial_k(self):
@@ -557,15 +556,11 @@ class TestRunMerging:
         # gives (dead slots' rows and columns are left stale).
         data = generator(SubspaceSpec(n=60, r=6, L=5, N=240, seed=seed))
         work = initial_clustering(compute_angles(normalize_rows(data)), seed=seed)
-        d, weights, within, floor = _merge_state(work)
-        workspace = _Workspace(weights.size)
+        state = _MergeState(work)
         while work.k > 2:
-            i_star, j_star = compute_scores(work).pair
-            kept = work.merge(i_star, j_star, out=workspace.rows)
-            floor[max(i_star, j_star)] = np.inf
-            _refresh_distance(d, workspace, int(work.sizes[kept]), weights, within, floor, kept)
+            state.merge(*state.pair())
             live = np.ix_(work.live, work.live)
-            assert np.array_equal(d[live], distance_matrix(work)[live])
+            assert np.array_equal(state.d[live], distance_matrix(work)[live])
 
     def test_records_match_scores_of_the_compacted_clustering(self):
         # Records number the K live slots 0..K-1 in slot order, as labels_at
@@ -579,25 +574,29 @@ class TestRunMerging:
             assert scores.gamma == pytest.approx(step.gamma, rel=1e-9)
 
     def test_update_minima_moves_a_tied_row_to_the_smaller_kept_slot(self):
-        # Slots 0 and 1 merge into 0. Row 3's cached partner, slot 2, is
-        # neither of them, so row 3 is not rescanned; its new distance to
-        # slot 0 ties the cached 0.5, and argmin's first occurrence takes 0.
-        d = np.array([[np.inf, 0.1, 0.9, 0.7],
-                      [0.1, np.inf, 0.9, 0.8],
-                      [0.9, 0.9, np.inf, 0.5],
-                      [0.7, 0.8, 0.5, np.inf]])
-        eta, partners = _row_minima(d)
-        assert partners.tolist() == [1, 0, 3, 2]
-        d[0, :] = d[:, 0] = [np.inf, np.inf, 0.6, 0.5]
-        d[1, :] = d[:, 1] = np.inf
-        live = np.array([True, False, True, True])
-        floor = np.where(live, -np.inf, np.inf)
-        _update_minima(d, eta, partners, d[:, 0].copy(), floor, kept=0, emptied=1)
-        want_eta, want_partners = _row_minima(d[np.ix_(live, live)])
-        assert partners[3] == 0
-        assert eta[1] == np.inf
-        np.testing.assert_array_equal(eta[live], want_eta)
-        np.testing.assert_array_equal(partners[live], np.flatnonzero(live)[want_partners])
+        # Slots of 3, 3, 6 and 6 points, with statistics chosen so that
+        # merging slots 0 and 1 gives slot 0 the 0-3 statistics that slot 2
+        # has with slot 3: sums 18 + 18 = 36 and squares 22.5 + 22.5 = 45
+        # over 36 cross angles. Row 3's cached partner, slot 2, is neither
+        # of the merged pair, so row 3 is not rescanned; its new distance
+        # to slot 0 ties the cached one bitwise, and argmin's first
+        # occurrence takes slot 0.
+        store = np.array([[3.0, 18.0, 36.0, 18.0],
+                          [37.0, 3.0, 36.0, 18.0],
+                          [74.25, 74.25, 15.0, 36.0],
+                          [22.5, 22.5, 45.0, 15.0]])
+        within_sq = np.array([3.5, 3.5, 18.5, 18.5])
+        clustering = Clustering(np.repeat(np.arange(4), [3, 3, 6, 6]), store, within_sq)
+        state = _MergeState(clustering)
+        assert state.partners[3] == 2 and state.d[3, 2] < state.d[3, 0]
+        tied = state.eta[3]
+        state.merge(0, 1)
+        assert state.d[3, 0] == tied
+        assert state.partners[3] == 0 and state.eta[3] == tied
+        assert state.eta[1] == np.inf and state.partners[1] == -1
+        scores = compute_scores(clustering)
+        np.testing.assert_array_equal(state.eta, scores.eta)
+        np.testing.assert_array_equal(state.partners, scores.partners)
 
     def test_steps_hold_only_per_k_scalars(self):
         assert [f.name for f in fields(MergeStep)] == ["k", "gamma", "zeta", "t", "pair"]

@@ -46,6 +46,15 @@ class TestDataSet:
         with pytest.raises(DegenerateInputError, match="row 3"):
             DataSet(points=np.ones((5, 3)), labels=labels)
 
+    def test_rejects_complex_points(self):
+        # Cast to float64, the imaginary parts would be dropped silently.
+        points = np.ones((5, 3), dtype=np.complex128)
+        points[2, 1] = 1.0 + 2.0j
+        with pytest.raises(DegenerateInputError, match="real"):
+            DataSet(points=points)
+        real = np.ones((5, 3))
+        assert DataSet(points=real).points is real
+
     def test_accepts_integer_valued_float_labels(self):
         data = DataSet(points=np.ones((4, 3)), labels=np.array([0.0, 2.0, -1.0, 2.0]))
         assert data.labels.dtype == np.int64

@@ -48,7 +48,7 @@ class TestClusterDataset:
         run = cluster_dataset(data, seed=0, initial_labels=init)
         assert run.initial_k == 24
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, np.bool_(True)])
     def test_a_negative_or_non_integer_seed_is_rejected(self, seed):
         # With caller labels too, although the ally seeding never runs.
         data = gen_subspace_normal(SubspaceSpec(n=30, r=3, L=2, N=60, seed=0))

@@ -127,6 +127,23 @@ class TestSpecs:
         with pytest.raises(DegenerateInputError, match=r"N >= 3L .*, got N=5, L=2$"):
             SubspaceSpec(n=10, r=3, L=2, N=5)
 
+    @pytest.mark.parametrize("field, value", [("n", 10.0), ("r", 3.5), ("L", 2.0), ("N", 20.0),
+                                              ("L", True), ("N", np.float64(21))])
+    def test_subspace_spec_fields_must_be_integers(self, field, value):
+        # A float field would reach numpy as a shape or a count and end in
+        # numpy's own TypeError; a bool would read as 0 or 1.
+        fields = {"n": 10, "r": 3, "L": 2, "N": 20}
+        with pytest.raises(DegenerateInputError, match=f"{field} must be an integer"):
+            SubspaceSpec(**{**fields, field: value})
+        spec = SubspaceSpec(**{name: np.int64(v) for name, v in fields.items()})
+        assert gen_subspace_normal(spec).points.shape == (20, 10)
+
+    @pytest.mark.parametrize("field, value", [("n", 10.0), ("N", 50.0), ("N", True)])
+    def test_dp_spec_fields_must_be_integers(self, field, value):
+        fields = {"n": 10, "N": 50, "rho": 1.0, "sigma": 1.0}
+        with pytest.raises(DegenerateInputError, match=f"{field} must be an integer"):
+            DPSpec(**{**fields, field: value})
+
     def test_dp_spec_validation(self):
         with pytest.raises(DegenerateInputError):
             DPSpec(n=10, N=50, rho=0.0, sigma=1.0)
